@@ -74,10 +74,6 @@ class SizeBudgetExceeded(PolynerveError):
     """An output (nerve, valuation space, complex) would exceed its size cap."""
 
 
-class BudgetExceeded(PolynerveError):
-    pass
-
-
 # --- logic layer ----------------------------------------------------------
 
 

@@ -25,9 +25,8 @@ from .errors import (
     UnknownElement,
 )
 from .exactla import determinant, lp_maximize, rank_exact, smith_divisors, solve_exact
-from .morphisms import are_isomorphic
 from .nerves import nerve
-from .posets import FinitePoset, poset_from_cover_dag
+from .posets import FinitePoset, _bits, poset_from_cover_dag
 
 RationalPoint = Tuple[Fraction, ...]
 
@@ -125,11 +124,19 @@ def relint_contains(simplex: Simplex, point: Sequence) -> bool:
     return simplex.relint_contains(point)
 
 
+def _facets(simplex: Simplex) -> List[FrozenSet[RationalPoint]]:
+    """The vertex sets of the facets: drop one vertex. In a downward-closed
+    family a proper face of a member is a facet of some member, so this one
+    relation gives covers, closure and maximality."""
+    whole = simplex.vertex_set
+    return [whole - {v} for v in simplex.vertices] if simplex.dim > 0 else []
+
+
 class RationalComplex:
     """A finite simplicial complex: downward-closed, with pairwise
     intersections that are common faces. Use validate_complex for foreign
-    data; internal constructions are closed by design and skip the pairwise
-    check."""
+    data; internal constructions are complexes by design and skip both
+    checks."""
 
     def __init__(self, simplices: Iterable[Simplex], _trusted: bool = False):
         simplices = frozenset(simplices)
@@ -139,7 +146,7 @@ class RationalComplex:
                 raise ValueError("simplices must share an ambient space")
         self.simplices = simplices
         if not _trusted:
-            _check_complex(self.simplices)
+            _check_complex(self)
 
     @property
     def ambient_dim(self) -> int:
@@ -154,11 +161,8 @@ class RationalComplex:
         return tuple(sorted({v for s in self.simplices for v in s.vertices}))
 
     def maximal_simplices(self) -> List[Simplex]:
-        return [
-            s
-            for s in self.sorted_simplices
-            if not any(s is not t and s.is_face_of(t) for t in self.simplices)
-        ]
+        covered = {facet for t in self.simplices for facet in _facets(t)}
+        return [s for s in self.sorted_simplices if s.vertex_set not in covered]
 
     def __len__(self) -> int:
         return len(self.simplices)
@@ -192,11 +196,16 @@ class RationalComplex:
     @classmethod
     def from_json(cls, text: str) -> "RationalComplex":
         payload = json.loads(text)
-        verts = [tuple(Fraction(num, den) for num, den in v) for v in payload["vertices"]]
-        for v in verts:
-            if len(v) != payload["dim"]:
-                raise ValueError("vertex dimension disagrees with the declared dim")
-        tops = [Simplex(tuple(verts[i] for i in ix)) for ix in payload["simplices"]]
+        try:
+            verts = [tuple(Fraction(num, den) for num, den in v) for v in payload["vertices"]]
+            for v in verts:
+                if len(v) != payload["dim"]:
+                    raise ValueError("vertex dimension disagrees with the declared dim")
+            if not all(0 <= i < len(verts) for ix in payload["simplices"] for i in ix):
+                raise ValueError("a simplex names a vertex index out of range")
+            tops = [Simplex(tuple(verts[i] for i in ix)) for ix in payload["simplices"]]
+        except (KeyError, TypeError, ZeroDivisionError) as exc:
+            raise ValueError(f"malformed complex JSON: {exc!r}") from exc
         closed: Set[Simplex] = set()
         for s in tops:
             closed.update(s.faces())
@@ -247,18 +256,21 @@ def _intersection_is_common_face(s: Simplex, t: Simplex) -> bool:
     return best == 0
 
 
-def _check_complex(simplices: FrozenSet[Simplex]) -> None:
-    by_set = {s.vertex_set: s for s in simplices}
-    for s in simplices:
-        if s.dim > 0:
-            for face in s.faces():
-                if face.vertex_set not in by_set:
-                    raise NotDownwardClosed(
-                        f"face {face.label()} of {s.label()} is missing"
-                    )
-    ordered = sorted(simplices, key=lambda s: (s.dim, s.vertices))
-    for i, s in enumerate(ordered):
-        for t in ordered[i + 1 :]:
+def _check_complex(complex_: RationalComplex) -> None:
+    present = {s.vertex_set for s in complex_.simplices}
+    for s in complex_.simplices:
+        for facet in _facets(s):
+            if facet not in present:
+                raise NotDownwardClosed(
+                    f"face {Simplex(tuple(facet)).label()} of {s.label()} is missing"
+                )
+    # Every facet present means downward closed, by induction on dimension.
+    # Then maximal pairs suffice: faces S' of S and T' of T meet inside S ∩ T,
+    # which is the common face on the shared vertices, and inside that face
+    # S' and T' meet in the face on their own shared vertices.
+    tops = complex_.maximal_simplices()
+    for i, s in enumerate(tops):
+        for t in tops[i + 1 :]:
             if not _intersection_is_common_face(s, t):
                 raise BadIntersection(
                     f"{s.label()} and {t.label()} do not meet in a common face"
@@ -276,20 +288,12 @@ def validate_complex(simplices: Iterable[Simplex]) -> RationalComplex:
 def face_poset(complex_: RationalComplex) -> FinitePoset:
     """The simplices under the face relation, labelled canonically."""
     sims = complex_.sorted_simplices
-    labels = [s.label() for s in sims]
+    position = {s.vertex_set: i for i, s in enumerate(sims)}
     covers: List[List[int]] = [[] for _ in sims]
-    for i, s in enumerate(sims):
-        for j, t in enumerate(sims):
-            if t.dim == s.dim + 1 and s.is_face_of(t):
-                covers[i].append(j)
-    return poset_from_cover_dag(labels, covers)
-
-
-def simplex_by_label(complex_: RationalComplex, label: str) -> Simplex:
-    for s in complex_.simplices:
-        if s.label() == label:
-            return s
-    raise UnknownElement(f"no simplex labelled {label}")
+    for j, t in enumerate(sims):
+        for facet in _facets(t):
+            covers[position[facet]].append(j)
+    return poset_from_cover_dag([s.label() for s in sims], covers)
 
 
 def carrier(complex_: RationalComplex, point: Sequence) -> Simplex:
@@ -337,18 +341,18 @@ def elementary_barycentric(complex_: RationalComplex, simplex: Simplex) -> Ratio
 def barycentric_subdivision(
     complex_: RationalComplex, budget: int = SIMPLEX_BUDGET
 ) -> RationalComplex:
-    """Elementary barycentric subdivisions at every original simplex, in
-    decreasing dimension (ties broken by vertex order)."""
-    current = complex_
-    for s in sorted(complex_.sorted_simplices, key=lambda s: (-s.dim, s.vertices)):
-        if s.dim == 0:
-            continue  # subdividing at a vertex is the identity
-        current = elementary_stellar(current, s.barycentre())
-        if len(current) > budget:
-            raise SizeBudgetExceeded(
-                f"subdivision exceeded the budget of {budget} simplices"
-            )
-    return current
+    """The order complex of the face poset, placed at the barycentres: one
+    simplex conv(b(σ₀), …, b(σₖ)) per flag σ₀ < … < σₖ of the complex (Wachs,
+    "Poset topology", arXiv:math/0602226). Its size, the number of flags, is
+    checked against the budget before anything is built."""
+    faces = face_poset(complex_)
+    if faces.count_chains() > budget:
+        raise SizeBudgetExceeded(f"subdivision exceeded the budget of {budget} simplices")
+    centres = [s.barycentre() for s in complex_.sorted_simplices]
+    flags = faces.iter_chain_masks(budget=budget)
+    return RationalComplex(
+        (Simplex(tuple(centres[i] for i in _bits(mask))) for mask in flags), _trusted=True
+    )
 
 
 def derived(complex_: RationalComplex, k: int, budget: int = SIMPLEX_BUDGET) -> RationalComplex:
@@ -459,19 +463,22 @@ def is_refinement(finer: RationalComplex, coarser: RationalComplex) -> bool:
 
 def geometric_realization(poset: FinitePoset, budget: int = SIMPLEX_BUDGET) -> RationalComplex:
     """The standard-basis complex whose simplices are spanned by the chains
-    of the poset; its face poset is isomorphic to the nerve (asserted)."""
+    of the poset. Chain k spans simplex k; that map is certified to be an
+    isomorphism from the nerve onto the face poset before returning."""
     n = poset.n
     nrv = nerve(poset, budget=budget)
     basis = [
         tuple(Fraction(1) if k == i else Fraction(0) for k in range(n)) for i in range(n)
     ]
-    simplices = []
-    for mask in nrv.chain_masks:
-        verts = [basis[i] for i in range(n) if mask >> i & 1]
-        simplices.append(Simplex(tuple(verts)))
+    simplices = [Simplex(tuple(basis[i] for i in _bits(mask))) for mask in nrv.chain_masks]
     complex_ = RationalComplex(simplices, _trusted=True)
-    iso = are_isomorphic(face_poset(complex_), nrv)
-    if iso is None:
+    faces = face_poset(complex_)
+    position = {s: i for i, s in enumerate(complex_.sorted_simplices)}
+    image = [position[s] for s in simplices]
+    if faces.n != nrv.n or any(
+        sum(1 << image[j] for j in _bits(nrv.up_mask(k))) != faces.up_mask(image[k])
+        for k in range(nrv.n)
+    ):
         raise RuntimeError("internal error: realization disagrees with the nerve")
     return complex_
 

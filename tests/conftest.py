@@ -1,7 +1,10 @@
 """Shared fixtures: a handful of small worked frames, plus deliberately
 naive brute-force oracles that the fast implementations are tested against.
-The oracles only ever use itertools-style enumeration, never the package's
-own machinery beyond basic order lookups."""
+The brute-force oracles only ever use itertools-style enumeration, never the
+package's own machinery beyond basic order lookups. The replaced algorithms
+kept as differential oracles (backtracking_isomorphism, stellar_subdivision,
+all_pairs_check_complex) reuse the package primitives they were built on:
+elementary stellar moves and the exact-LP intersection test."""
 from __future__ import annotations
 
 import random
@@ -9,7 +12,9 @@ from itertools import chain, combinations, product
 
 import pytest
 
-from polynerve import FinitePoset, Signature, validate_poset
+from polynerve import FinitePoset, Signature, elementary_stellar, validate_poset
+from polynerve.errors import BadIntersection, NotDownwardClosed
+from polynerve.geometry import _intersection_is_common_face
 from polynerve.randposets import random_poset, random_rooted_poset
 
 
@@ -325,6 +330,33 @@ def backtracking_isomorphism(poset: FinitePoset, other: FinitePoset):
     if assign(0):
         return {poset.labels[i]: other.labels[j] for i, j in assignment.items()}
     return None
+
+
+def stellar_subdivision(complex_):
+    """The barycentric subdivision as the package formerly built it: one
+    elementary stellar move at the barycentre of every original simplex, in
+    decreasing dimension (ties broken by vertex order)."""
+    current = complex_
+    for s in sorted(complex_.simplices, key=lambda s: (-s.dim, s.vertices)):
+        if s.dim > 0:  # subdividing at a vertex is the identity
+            current = elementary_stellar(current, s.barycentre())
+    return current
+
+
+def all_pairs_check_complex(simplices) -> None:
+    """The package's former complex check: every face of every simplex must
+    be present, and every pair of simplices must meet in a common face.
+    Raises the package's error for the first failure it meets."""
+    present = {s.vertex_set for s in simplices}
+    for s in simplices:
+        for face in s.faces():
+            if face.vertex_set not in present:
+                raise NotDownwardClosed(f"face {face.label()} of {s.label()} is missing")
+    ordered = sorted(simplices, key=lambda s: (s.dim, s.vertices))
+    for i, s in enumerate(ordered):
+        for t in ordered[i + 1 :]:
+            if not _intersection_is_common_face(s, t):
+                raise BadIntersection(f"{s.label()} and {t.label()} do not meet in a common face")
 
 
 def sample_posets(count, max_size, seed, rooted=False):

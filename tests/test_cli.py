@@ -105,6 +105,41 @@ def test_subdivide_and_realize(capsys, tmp_path):
     assert len([s for s in divided.simplices if s.dim == 1]) == 2
 
 
+TETRAHEDRON = json.dumps(
+    {
+        "dim": 3,
+        "vertices": [[[0, 1]] * 3, [[1, 1], [0, 1], [0, 1]], [[0, 1], [1, 1], [0, 1]], [[0, 1], [0, 1], [1, 1]]],
+        "simplices": [[0, 1, 2, 3]],
+    }
+)
+
+
+def test_subdivide_budget_exits_2(capsys, tmp_path):
+    path = tmp_path / "T.json"
+    path.write_text(TETRAHEDRON)
+    code, _, err = run(capsys, ["subdivide", "--budget", "10", "-i", str(path)])
+    assert code == 2 and "budget of 10" in err
+    code, out, _ = run(capsys, ["subdivide", "-i", str(path)])
+    assert code == 0 and len(json.loads(out)["simplices"]) == 24  # the maximal flags
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{}",
+        "[]",
+        json.dumps({"dim": 1, "vertices": [[[0, 0]], [[1, 1]]], "simplices": [[0, 1]]}),
+        json.dumps({"dim": 1, "vertices": [[[0, 1]], [[1, 1]]], "simplices": [[0, 2]]}),
+    ],
+    ids=["empty-object", "list", "zero-denominator", "index-out-of-range"],
+)
+def test_malformed_complex_exits_2(capsys, tmp_path, text):
+    path = tmp_path / "K.json"
+    path.write_text(text)
+    code, out, err = run(capsys, ["subdivide", "-i", str(path)])
+    assert code == 2 and out == "" and err.startswith("polynerve: error:")
+
+
 def test_iso_verb(capsys, tmp_path, theta_frame):
     a = tmp_path / "A.json"
     b = tmp_path / "B.json"

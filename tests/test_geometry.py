@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as Fr
 
 import pytest
@@ -11,10 +12,11 @@ from polynerve.errors import (
     NotDownwardClosed,
     NotUpwardClosed,
     PointOutsideSupport,
+    SizeBudgetExceeded,
 )
 from polynerve.exactla import smith_divisors
 
-from conftest import brute_chains, sample_posets
+from conftest import all_pairs_check_complex, brute_chains, sample_posets, stellar_subdivision
 
 
 def pt(*coords):
@@ -33,6 +35,17 @@ def triangle():
 @pytest.fixture
 def segment():
     return full_complex(pt(0), pt(1))
+
+
+@pytest.fixture
+def tetrahedron():
+    return full_complex(pt(0, 0, 0), pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1))
+
+
+def two_triangles():
+    t1 = Simplex((pt(0, 0), pt(1, 0), pt(0, 1)))
+    t2 = Simplex((pt(1, 0), pt(0, 1), pt(1, 1)))
+    return set(t1.faces()) | set(t2.faces())
 
 
 # -- validation ---------------------------------------------------------------------
@@ -57,25 +70,75 @@ def test_missing_face_rejected():
 
 
 def test_bad_intersection_rejected():
-    # two segments crossing in their interiors
-    a = Simplex((pt(0, 0), pt(2, 2)))
-    b = Simplex((pt(0, 2), pt(2, 0)))
-    sims = set(a.faces()) | set(b.faces())
-    with pytest.raises(BadIntersection):
-        pn.validate_complex(sims)
-    # two triangles overlapping along half an edge
-    t1 = Simplex((pt(0, 0), pt(2, 0), pt(0, 2)))
-    t2 = Simplex((pt(1, 0), pt(3, 0), pt(2, -2)))
-    sims = set(t1.faces()) | set(t2.faces())
-    with pytest.raises(BadIntersection):
-        pn.validate_complex(sims)
+    triangle = Simplex((pt(0, 0), pt(3, 0), pt(0, 3)))
+    pairs = [
+        # two segments crossing in their interiors
+        (Simplex((pt(0, 0), pt(2, 2))), Simplex((pt(0, 2), pt(2, 0)))),
+        # two triangles overlapping along half an edge
+        (Simplex((pt(0, 0), pt(2, 0), pt(0, 2))), Simplex((pt(1, 0), pt(3, 0), pt(2, -2)))),
+        # a lone vertex inside a triangle
+        (triangle, Simplex((pt(1, 1),))),
+        # an edge entering a triangle without sharing a vertex with it
+        (triangle, Simplex((pt(1, 1), pt(5, 5)))),
+    ]
+    for a, b in pairs:
+        sims = set(a.faces()) | set(b.faces())
+        with pytest.raises(BadIntersection):
+            pn.validate_complex(sims)
+        with pytest.raises(BadIntersection):
+            all_pairs_check_complex(frozenset(sims))
 
 
 def test_shared_edge_is_fine():
-    t1 = Simplex((pt(0, 0), pt(1, 0), pt(0, 1)))
-    t2 = Simplex((pt(1, 0), pt(0, 1), pt(1, 1)))
-    complex_ = pn.validate_complex(set(t1.faces()) | set(t2.faces()))
+    complex_ = pn.validate_complex(two_triangles())
     assert len(complex_) == 11  # 4 vertices + 5 edges + 2 triangles
+
+
+def _check_outcome(check, simplices):
+    try:
+        check(simplices)
+    except (NotDownwardClosed, BadIntersection) as exc:
+        return type(exc)
+    return None
+
+
+def test_validation_matches_all_pairs_oracle():
+    # random families of up to three simplices of dims 0-2 on a 4x4 grid,
+    # with their faces, and one member dropped from every fifth or so
+    rng = random.Random(131)
+    seen = Counter()
+    for _ in range(200):
+        family = set()
+        for _ in range(rng.randint(1, 3)):
+            dim = rng.randint(0, 2)
+            try:
+                simplex = Simplex(
+                    tuple(pt(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(dim + 1))
+                )
+            except AffineDependence:
+                continue
+            family.update(simplex.faces())
+        if not family:
+            continue
+        if rng.random() < 0.2:
+            family.discard(rng.choice(sorted(family, key=lambda s: (s.dim, s.vertices))))
+        outcome = _check_outcome(pn.validate_complex, family)
+        assert outcome == _check_outcome(all_pairs_check_complex, frozenset(family))
+        seen[outcome] += 1
+    assert seen[None] and seen[BadIntersection] and seen[NotDownwardClosed]
+
+
+def test_face_poset_and_maximal_simplices_follow_the_face_relation(triangle, tetrahedron):
+    for complex_ in (pn.barycentric_subdivision(triangle), tetrahedron):
+        fp = pn.face_poset(complex_)
+        for a in complex_.simplices:
+            for b in complex_.simplices:
+                assert fp.leq(a.label(), b.label()) == a.is_face_of(b)
+        assert complex_.maximal_simplices() == [
+            s
+            for s in complex_.sorted_simplices
+            if not any(s != t and s.is_face_of(t) for t in complex_.simplices)
+        ]
 
 
 # -- carriers and stars ------------------------------------------------------------------
@@ -146,11 +209,30 @@ def test_derived_zero_is_identity(triangle):
     assert pn.derived(triangle, 0) == triangle
 
 
-def test_tetrahedron_subdivision_count_matches_chain_oracle():
-    tetra = full_complex(pt(0, 0, 0), pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1))
-    face_count = len(pn.barycentric_subdivision(tetra))
-    fp = pn.face_poset(tetra)
+def test_tetrahedron_subdivision_count_matches_chain_oracle(tetrahedron):
+    face_count = len(pn.barycentric_subdivision(tetrahedron))
+    fp = pn.face_poset(tetrahedron)
     assert face_count == len(brute_chains(fp)) == fp.count_chains()
+
+
+def test_subdivision_matches_stellar_oracle(segment, triangle, tetrahedron):
+    shapes = [
+        segment,
+        triangle,
+        tetrahedron,
+        pn.validate_complex(two_triangles()),
+        pn.derived(triangle, 2),
+    ]
+    for complex_ in shapes:
+        flags = pn.barycentric_subdivision(complex_)
+        assert flags.simplices == stellar_subdivision(complex_).simplices
+
+
+def test_subdivision_budget(tetrahedron):
+    # sd of the tetrahedron has one simplex per flag of its 15 faces: 149
+    with pytest.raises(SizeBudgetExceeded):
+        pn.barycentric_subdivision(tetrahedron, budget=148)
+    assert len(pn.barycentric_subdivision(tetrahedron, budget=149)) == 149
 
 
 def test_sd_face_poset_is_nerve_of_face_poset():
