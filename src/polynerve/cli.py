@@ -237,12 +237,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, output=True, budget=True):
+    def common(p):
         p.add_argument("-i", "--input", help="input file (default: stdin)")
-        if output:
-            p.add_argument("-o", "--output", help="output file (default: stdout)")
-        if budget:
-            p.add_argument("--budget", type=int, default=10**6, help="size/search budget")
+        p.add_argument("-o", "--output", help="output file (default: stdout)")
+
+    def with_budget(p):
+        common(p)
+        p.add_argument("--budget", type=int, default=10**6, help="size/search budget")
 
     p = sub.add_parser("validate", help="load, close and summarise a poset")
     common(p)
@@ -251,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_validate)
 
     p = sub.add_parser("nerve", help="iterated nerve of a poset")
-    common(p)
+    with_budget(p)
     p.add_argument("-k", type=int, default=1, help="number of nerve iterations")
     p.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
     p.set_defaults(handler=cmd_nerve)
@@ -261,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_contype)
 
     p = sub.add_parser("jankov", help="forbidden-configuration validity against a starlike tree")
-    common(p)
+    with_budget(p)
     p.add_argument("--target", required=True, help="signature, e.g. 2.1")
     p.set_defaults(handler=cmd_jankov)
 
@@ -288,21 +289,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_witness)
 
     p = sub.add_parser("subdivide", help="k-th derived subdivision of a complex")
-    common(p)
+    with_budget(p)
     p.add_argument("-k", type=int, default=1)
     p.set_defaults(handler=cmd_subdivide)
 
     p = sub.add_parser("realize", help="standard-basis realization of a poset")
-    common(p)
+    with_budget(p)
     p.set_defaults(handler=cmd_realize)
 
     p = sub.add_parser("iso", help="poset isomorphism check")
-    common(p)
+    with_budget(p)
     p.add_argument("other", help="second poset file")
     p.set_defaults(handler=cmd_iso)
 
     p = sub.add_parser("census", help="sample posets and tabulate connectedness vs search")
-    common(p)
+    with_budget(p)
     p.add_argument("--size", type=int, default=5, help="maximum poset size (cap 8)")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)

@@ -23,7 +23,7 @@ from .morphisms import PMorphism, compose, is_up_reduction
 from .nerves import nerve_is_alpha_connected
 from .posets import FinitePoset, height, is_graded, tree_unravelling, validate_poset
 from .semantics import scott_frame_conditions, validates_sfl
-from .signatures import DIFORK, EPSILON, SCOTT, Signature
+from .signatures import DIFORK, SCOTT, Signature
 from .starlike import is_alpha_connected, is_alpha_nerve_connected
 
 __all__ = [
@@ -55,6 +55,23 @@ def _identity_result(poset: FinitePoset, note: str) -> ConstructionResult:
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ConstructionPostconditionFailed(message)
+
+
+def _assembled(
+    labels: List[str],
+    edges: List[Tuple[str, str]],
+    mapping: Dict[str, str],
+    target: FinitePoset,
+    trace: List[dict],
+) -> ConstructionResult:
+    output = validate_poset(labels, edges)
+    witness = PMorphism(output, target, frozenset(labels), mapping)
+    return ConstructionResult(output, witness, trace)
+
+
+def _profile(poset: FinitePoset, label: str) -> Signature:
+    """Connectedness type of the strict upset of one element."""
+    return poset.contype_of_mask(poset.strict_up_mask(poset.index(label)))
 
 
 def _verify_witness(result: ConstructionResult) -> None:
@@ -97,8 +114,7 @@ def _contype_preserved_on(
     labels: Iterable[str],
 ) -> None:
     for lab in labels:
-        got = output.contype_of_mask(output.strict_up_mask(output.index(lab)))
-        want = base.contype_of_mask(base.strict_up_mask(base.index(witness(lab))))
+        got, want = _profile(output, lab), _profile(base, witness(lab))
         _require(
             got == want,
             f"connectedness type not preserved at {lab!r}: {got} vs {want}",
@@ -176,9 +192,7 @@ def gradify_with_scott(poset: FinitePoset, lambdas: Iterable[Signature]) -> Cons
         }
     )
 
-    output = validate_poset(labels, edges)
-    witness = PMorphism(output, poset, frozenset(labels), mapping)
-    result = ConstructionResult(output, witness, trace)
+    result = _assembled(labels, edges, mapping, poset, trace)
     _verify_gradify(result, poset, lambdas, with_scott=True)
     return result
 
@@ -261,11 +275,9 @@ def gradify_without_scott(poset: FinitePoset, lambdas: Iterable[Signature]) -> C
                 }
             )
 
-    output = validate_poset(labels, edges)
-    witness = PMorphism(output, poset, frozenset(labels), mapping)
-    result = ConstructionResult(output, witness, trace)
+    result = _assembled(labels, edges, mapping, poset, trace)
     _verify_gradify(result, poset, lambdas, with_scott=False)
-    _contype_preserved_on(output, witness, poset, tree.labels)
+    _contype_preserved_on(result.output, result.witness, poset, tree.labels)
     return result
 
 
@@ -300,9 +312,7 @@ def _verify_gradify(
 def _diamond_connected_plain(poset: FinitePoset, alpha: Signature) -> bool:
     """The diamond condition quantified over pairs of the poset itself (no
     synthetic top); this is the guarantee nervification is built to deliver."""
-    if alpha == EPSILON:
-        return EPSILON not in poset.diamond_contypes
-    return not any(alpha.leq(ct) for ct in poset.diamond_contypes)
+    return not any(map(alpha.splits, poset.diamond_contypes))
 
 
 def _sample_ample_signatures(n: int) -> List[Signature]:
@@ -330,25 +340,34 @@ def nervify(
     """Rebuild a graded rooted frame so that, additionally, all its strict
     diamonds are too tangled to split.
 
-    Three strategies are tried in order, each verified in full before being
-    returned. First the input itself (often already nerve-connected). Then
-    the tree unravelling with its tops kept and neighbouring branches glued
-    by mid-level ladders of 'chevron' elements (adjacent-rank pairs get a
-    single bridge over their meet, the one spot the ranks leave room).
-    Finally a variant that chops the tree tops and rebuilds them from
-    chevron ladders, splitting penultimate rungs shared between tops into
-    copies served once per top; the order of each fibre's branches and the
-    orientation in which tops serve the copies are free parameters searched
-    deterministically.
+    Candidates are built lazily, in this order, and the first one that passes
+    verification is returned:
+
+    1. the input itself (often already nerve-connected);
+    2. the tree unravelling with its tops kept and neighbouring branches
+       glued by mid-level ladders of 'chevron' elements (adjacent-rank pairs
+       get a single bridge over their meet, the one spot the ranks leave
+       room);
+    3. chevron arrangements, which chop the tree tops and rebuild them from
+       chevron ladders, splitting penultimate rungs shared between tops into
+       copies served once per top. The order of each fibre's branches and
+       the orientation in which tops serve the copies are free parameters,
+       searched deterministically: at most 2^7 fibre orderings, at most 256
+       orientation vectors per ordering, at most 4096 arrangements in all.
 
     With ``lambdas`` given, rungs are split only when the double-cover would
     let some fork among the axioms through, and the postconditions are the
     per-signature ones the pipeline needs; without it the universal
-    (signature-free) checks are enforced."""
+    (signature-free) checks are enforced. When no candidate passes, the
+    ConstructionPostconditionFailed message counts the candidates verified
+    and the orderings the rung plan rejected, and says whether the cap on
+    arrangements stopped the search."""
     if poset.root() is None:
         raise NotRooted("nervification needs a rooted poset")
     if is_graded(poset) is None:
         raise NotGraded("nervification needs a graded poset")
+    if lambdas is not None:
+        lambdas = set(lambdas)
 
     n = height(poset)
     tree, last = tree_unravelling(poset)
@@ -357,9 +376,6 @@ def nervify(
     base_trace: List[dict] = [{"step": "tree_unravelling", "size": tree.n}]
 
     base_labels = [tree.labels[i] for i in base_trunk]
-    base_mapping: Dict[str, str] = {
-        tree.labels[i]: last(tree.labels[i]) for i in base_trunk
-    }
     base_edges = [
         (tree.labels[i], tree.labels[j])
         for i in base_trunk
@@ -423,11 +439,7 @@ def nervify(
         blob into up to two, on top of whatever taller components the rung
         keeps; the only universally harmless case is a lone extra blob over
         a rung with nothing else above it."""
-        base_comps = len(
-            poset.contype_of_mask(
-                poset.strict_up_mask(poset.index(last(tree.labels[pen])))
-            ).heights
-        )
+        base_comps = len(_profile(poset, last(tree.labels[pen])).heights)
         grown = base_comps + got - top_count
         if fork_sizes is None:
             return not (base_comps == 1 and grown == 2)
@@ -471,16 +483,51 @@ def nervify(
         )
         return attachments, copies_of, removed, split_trace, incidence_keys
 
-    def build(fibres, attachments, copies_of, removed, split_trace, orient):
-        out_labels = [lab for lab in base_labels if lab not in removed]
-        out_edges = [
-            (a, b) for a, b in base_edges if a not in removed and b not in removed
-        ]
-        out_mapping = {
-            lab: val for lab, val in base_mapping.items() if lab not in removed
-        }
-        out_trace = base_trace + split_trace
-        trunk = [i for i in base_trunk if tree.labels[i] not in removed]
+    def ladder(u: str, i: int, p: int, q: int, meet: int, edges: list) -> List[str]:
+        """The chevron elements w@u:i.j that glue the branches below the tops
+        p and q of fibre u, one per level from two above their meet to one
+        below the tops; element j covers element j - 1 and both branches at
+        height meet + j. Their covers go to ``edges``."""
+        bottom = tree.heights[meet]
+        # distinct tops with the same image never cover their meet
+        assert tree.heights[p] - bottom >= 2
+        labels = [f"w@{u}:{i}.{j}" for j in range(1, tree.heights[p] - bottom - 1)]
+        for j, lab in enumerate(labels, start=1):
+            if j > 1:
+                edges.append((labels[j - 2], lab))
+            edges.append((tree.labels[_prefix_at(tree, p, bottom + j)], lab))
+            edges.append((tree.labels[_prefix_at(tree, q, bottom + j)], lab))
+        return labels
+
+    def build_ladders():
+        labels = list(tree.labels)
+        edges = [(tree.labels[i], tree.labels[j]) for i, j in _cover_pairs(tree)]
+        mapping = {lab: last(lab) for lab in labels}
+        trace = list(base_trace)
+        for u in fibre_names:
+            group = lex_fibres[u]
+            added: List[str] = []
+            for i, (p, q) in enumerate(zip(group, group[1:]), start=1):
+                meet = _tree_meet(tree, p, q)
+                rungs = ladder(u, i, p, q, meet, edges)
+                if not rungs:  # adjacent ranks: a single bridge over the meet
+                    rungs = [f"w@{u}:{i}g"]
+                    edges.append((tree.labels[meet], rungs[0]))
+                added += rungs
+                edges.append((rungs[-1], tree.labels[p]))
+                edges.append((rungs[-1], tree.labels[q]))
+            labels += added
+            mapping.update(dict.fromkeys(added, u))
+            if added:
+                trace.append({"step": "ladder", "top": u, "added_elements": added})
+        return _assembled(labels, edges, mapping, poset, trace), tree.labels, {}
+
+    def build_chevrons(fibres, attachments, copies_of, removed, split_trace, orient):
+        labels = [lab for lab in base_labels if lab not in removed]
+        profiled = list(labels)
+        edges = [(a, b) for a, b in base_edges if a not in removed and b not in removed]
+        mapping = {lab: last(lab) for lab in labels}
+        trace = base_trace + split_trace
         consumed: Dict[Tuple[int, str], int] = {}
 
         def next_attachment(pen: int, u: str) -> str:
@@ -492,245 +539,123 @@ def nervify(
             order = list(atts) if not orient.get((pen, u)) else list(reversed(atts))
             return order[used % len(order)]
 
-        def cap_surplus(u: str, pens: List[int], added: List[str]) -> None:
-            for pen in sorted(set(pens)):
-                atts = attachments[pen]
-                if len(atts) == 1:
-                    continue
-                while consumed.get((pen, u), 0) < len(atts):
-                    att = next_attachment(pen, u)
-                    cap = f"w@{u}!{att}"
-                    out_labels.append(cap)
-                    added.append(cap)
-                    out_mapping[cap] = u
-                    out_edges.append((att, cap))
-
         for u in sorted(fibres):
             group = fibres[u]
-            rank_u = tree.heights[group[0]]
             added: List[str] = []
-            if rank_u == 0:
-                w_lab = f"w@{u}"
-                out_labels.append(w_lab)
-                out_mapping[w_lab] = u
-                out_trace.append({"step": "chevron", "top": u, "added_elements": [w_lab]})
-                continue
-            if len(group) == 1:
-                w_lab = f"w@{u}"
-                out_labels.append(w_lab)
-                added.append(w_lab)
-                out_mapping[w_lab] = u
-                out_edges.append((next_attachment(pen_of[group[0]], u), w_lab))
-                cap_surplus(u, [pen_of[group[0]]], added)
-                out_trace.append({"step": "chevron", "top": u, "added_elements": added})
-                continue
-            for i in range(len(group) - 1):
-                p, p_next = group[i], group[i + 1]
-                r = _tree_meet(tree, p, p_next)
-                l_i = tree.heights[r]
-                k_i = rank_u - l_i - 1
-                assert k_i >= 1
-                prev: Optional[str] = None
-                for j in range(1, k_i):
-                    a_lab = f"w@{u}:{i + 1}.{j}"
-                    out_labels.append(a_lab)
-                    added.append(a_lab)
-                    out_mapping[a_lab] = u
-                    if prev is not None:
-                        out_edges.append((prev, a_lab))
-                    out_edges.append((tree.labels[_prefix_at(tree, p, l_i + j)], a_lab))
-                    out_edges.append(
-                        (tree.labels[_prefix_at(tree, p_next, l_i + j)], a_lab)
-                    )
-                    prev = a_lab
-                top_lab = f"w@{u}:{i + 1}"
-                out_labels.append(top_lab)
-                added.append(top_lab)
-                out_mapping[top_lab] = u
-                if prev is not None:
-                    out_edges.append((prev, top_lab))
-                out_edges.append((next_attachment(pen_of[p], u), top_lab))
-                out_edges.append((next_attachment(pen_of[p_next], u), top_lab))
-            cap_surplus(u, [pen_of[t] for t in group], added)
-            out_trace.append({"step": "chevron", "top": u, "added_elements": added})
+            if tree.heights[group[0]] == 0:
+                added.append(f"w@{u}")
+            elif len(group) == 1:
+                added.append(f"w@{u}")
+                edges.append((next_attachment(pen_of[group[0]], u), f"w@{u}"))
+            for i, (p, q) in enumerate(zip(group, group[1:]), start=1):
+                rungs = ladder(u, i, p, q, _tree_meet(tree, p, q), edges)
+                top = f"w@{u}:{i}"
+                added += rungs + [top]
+                edges.extend((rung, top) for rung in rungs[-1:])
+                edges.append((next_attachment(pen_of[p], u), top))
+                edges.append((next_attachment(pen_of[q], u), top))
+            # every copy of a split rung serves each of its incident tops
+            for pen, copy_labels in copies_of.items():
+                while u in incident[pen] and consumed.get((pen, u), 0) < len(copy_labels):
+                    att = next_attachment(pen, u)
+                    added.append(f"w@{u}!{att}")
+                    edges.append((att, f"w@{u}!{att}"))
+            labels += added
+            mapping.update(dict.fromkeys(added, u))
+            trace.append({"step": "chevron", "top": u, "added_elements": added})
 
         # copies of a split rung cover the same parents as the rung they split
         for pen, copy_labels in copies_of.items():
             for lab in copy_labels:
-                for par in tree.covers_down[pen]:
-                    out_edges.append((tree.labels[par], lab))
-                out_mapping[lab] = last(tree.labels[pen])
-        all_labels = out_labels + [
-            lab for pen in sorted(copies_of) for lab in copies_of[pen]
-        ]
-        output = validate_poset(all_labels, out_edges)
-        witness = PMorphism(output, poset, frozenset(all_labels), out_mapping)
-        return ConstructionResult(output, witness, out_trace), trunk
+                edges.extend((tree.labels[par], lab) for par in tree.covers_down[pen])
+                mapping[lab] = last(tree.labels[pen])
+            labels += copy_labels
+        split = {lab: len(incident[pen]) for pen, labs in copies_of.items() for lab in labs}
+        return _assembled(labels, edges, mapping, poset, trace), profiled, split
 
-    def verify(result: ConstructionResult, trunk, copies_of) -> None:
-        _verify_witness(result)
-        _require(result.output.root() is not None, "nervification output must stay rooted")
-        _require(height(result.output) == n, "nervification must preserve height")
-        _require(is_graded(result.output) is not None, "nervification output must be graded")
+    verified = rejected = 0
+    capped = False
+
+    def candidates():
+        """Each candidate in turn, with the output labels whose profiles must
+        match the input's and the number of tops each split-rung copy
+        serves."""
+        nonlocal rejected, capped
+        yield _identity_result(poset, "already nerve-connected"), poset.labels, {}
+        yield build_ladders()
+        arrangements = 0
+        for order_bits in range(1 << min(len(fibre_names), 7)):
+            fibres = order_fibres(order_bits)
+            planned = plan(fibres)
+            if planned is None:
+                rejected += 1
+                continue
+            attachments, copies_of, removed, split_trace, incidence_keys = planned
+            for vector in range(min(1 << len(incidence_keys), 256)):
+                if arrangements == 4096:
+                    capped = True
+                    return
+                arrangements += 1
+                orient = {key: (vector >> bit) & 1 for bit, key in enumerate(incidence_keys)}
+                yield build_chevrons(fibres, attachments, copies_of, removed, split_trace, orient)
+
+    guarded = _sample_ample_signatures(n) if lambdas is None else lambdas
+
+    def verify(result: ConstructionResult, profiled, split) -> None:
+        output = result.output
+        for alpha in guarded:
+            _require(
+                lambdas is None or is_alpha_connected(output, alpha),
+                f"nervification output lost {alpha}-connectedness",
+            )
+            _require(
+                _diamond_connected_plain(output, alpha),
+                f"nervification output has a splittable diamond for {alpha}",
+            )
         if lambdas is None:
-            _verify_nervify_profiles(result, poset, tree, trunk, copies_of, incident)
-            _verify_diamond_shapes(result.output)
-            for alpha in _sample_ample_signatures(n):
-                _require(
-                    _diamond_connected_plain(result.output, alpha),
-                    f"nervification output has a splittable diamond for {alpha}",
-                )
-        else:
-            for alpha in lambdas:
-                _require(
-                    is_alpha_connected(result.output, alpha),
-                    f"nervification output lost {alpha}-connectedness",
-                )
-                _require(
-                    _diamond_connected_plain(result.output, alpha),
-                    f"nervification output has a splittable diamond for {alpha}",
-                )
+            _verify_diamond_shapes(output)
+            _verify_nervify_profiles(result, poset, profiled, split)
+        _verify_witness(result)
+        _require(output.root() is not None, "nervification output must stay rooted")
+        _require(height(output) == n, "nervification must preserve height")
+        _require(is_graded(output) is not None, "nervification output must be graded")
 
     failure: Optional[Exception] = None
-    # the input itself is often already tangled enough; try it unaltered first
-    try:
-        identity = _identity_result(poset, "already nerve-connected")
-        if lambdas is None:
-            _verify_diamond_shapes(poset)
-            for alpha in _sample_ample_signatures(n):
-                _require(
-                    _diamond_connected_plain(poset, alpha),
-                    f"input has a splittable diamond for {alpha}",
-                )
-        else:
-            for alpha in lambdas:
-                _require(
-                    is_alpha_connected(poset, alpha),
-                    f"input is not {alpha}-connected",
-                )
-                _require(
-                    _diamond_connected_plain(poset, alpha),
-                    f"input has a splittable diamond for {alpha}",
-                )
-        return identity
-    except ConstructionPostconditionFailed as exc:
-        failure = exc
-
-    # Second strategy: keep the tree tops (the unravelling already separates
-    # every rung's tops), and glue neighbouring branches with mid-level
-    # ladders; adjacent-rank pairs get a single bridge element over their
-    # meet instead, the only spot where the ranks leave room.
-    def build_keep() -> Tuple[ConstructionResult, List[int]]:
-        out_labels = [tree.labels[i] for i in range(tree.n)]
-        out_mapping = {tree.labels[i]: last(tree.labels[i]) for i in range(tree.n)}
-        out_edges = [
-            (tree.labels[i], tree.labels[j])
-            for i in range(tree.n)
-            for j in tree.covers_up[i]
-        ]
-        out_trace = list(base_trace)
-        for u in sorted(lex_fibres):
-            group = lex_fibres[u]
-            rank_u = tree.heights[group[0]]
-            added: List[str] = []
-            for i in range(len(group) - 1):
-                p, p_next = group[i], group[i + 1]
-                r = _tree_meet(tree, p, p_next)
-                l_i = tree.heights[r]
-                k_i = rank_u - l_i - 1
-                if k_i == 1:
-                    bridge = f"w@{u}:{i + 1}g"
-                    out_labels.append(bridge)
-                    added.append(bridge)
-                    out_mapping[bridge] = u
-                    out_edges.append((tree.labels[r], bridge))
-                    out_edges.append((bridge, tree.labels[p]))
-                    out_edges.append((bridge, tree.labels[p_next]))
-                    continue
-                prev: Optional[str] = None
-                for j in range(1, k_i):
-                    a_lab = f"w@{u}:{i + 1}.{j}"
-                    out_labels.append(a_lab)
-                    added.append(a_lab)
-                    out_mapping[a_lab] = u
-                    if prev is not None:
-                        out_edges.append((prev, a_lab))
-                    out_edges.append((tree.labels[_prefix_at(tree, p, l_i + j)], a_lab))
-                    out_edges.append(
-                        (tree.labels[_prefix_at(tree, p_next, l_i + j)], a_lab)
-                    )
-                    prev = a_lab
-                out_edges.append((prev, tree.labels[p]))
-                out_edges.append((prev, tree.labels[p_next]))
-            if added:
-                out_trace.append({"step": "ladder", "top": u, "added_elements": added})
-        output = validate_poset(out_labels, out_edges)
-        witness = PMorphism(output, poset, frozenset(out_labels), out_mapping)
-        return ConstructionResult(output, witness, out_trace), list(range(tree.n))
-
-    try:
-        result, keep_trunk = build_keep()
-        verify(result, keep_trunk, {})
-        return result
-    except ConstructionPostconditionFailed as exc:
-        failure = exc
-
-    tries = 0
-    for order_bits in range(1 << min(len(fibre_names), 7)):
-        fibres = order_fibres(order_bits)
-        planned = plan(fibres)
-        if planned is None:
-            continue
-        attachments, copies_of, removed, split_trace, incidence_keys = planned
-        for vector in range(min(1 << len(incidence_keys), 256)):
-            tries += 1
-            if tries > 4096:
-                break
-            orient = {
-                key: (vector >> bit) & 1 for bit, key in enumerate(incidence_keys)
-            }
-            try:
-                result, trunk = build(
-                    fibres, attachments, copies_of, removed, split_trace, orient
-                )
-                verify(result, trunk, copies_of)
-                return result
-            except ConstructionPostconditionFailed as exc:
-                failure = exc
-        if tries > 4096:
-            break
+    for result, profiled, split in candidates():
+        verified += 1
+        try:
+            verify(result, profiled, split)
+            return result
+        except ConstructionPostconditionFailed as exc:
+            failure = exc
     raise ConstructionPostconditionFailed(
-        f"no chevron arrangement passed verification: last failure: {failure}"
+        f"no nervification candidate passed verification: {verified} verified, "
+        f"{rejected} fibre orderings rejected by the rung plan, "
+        f"{'stopped' if capped else 'not stopped'} by the cap of 4096 arrangements; "
+        f"last failure: {failure}"
     )
 
 
-def _verify_nervify_profiles(result, base, tree, trunk, copies_of, incident) -> None:
-    """Strict-upset profiles must match the base pointwise, with exactly two
-    sanctioned exceptions: a singly-topped middle rung may see a two-point
-    antichain where the base sees one point (two chevron tops, no fork in
-    any legal axiom set can use it), and a split copy sees exactly one point
-    per incident top."""
+def _verify_nervify_profiles(result, base, labels, split) -> None:
+    """Strict-upset profiles of the given output labels must match the base
+    pointwise, with exactly two sanctioned exceptions: a singly-topped middle
+    rung may see a two-point antichain where the base sees one point (two
+    chevron tops, no fork in any legal axiom set can use it), and a split
+    copy sees exactly one point per incident top (``split`` maps each copy
+    to that number)."""
     output, witness = result.output, result.witness
-    one = Signature(((1, 1),))
-    two = Signature(((1, 2),))
-    for i in trunk:
-        lab = tree.labels[i]
-        got = output.contype_of_mask(output.strict_up_mask(output.index(lab)))
-        want = base.contype_of_mask(base.strict_up_mask(base.index(witness(lab))))
-        if got == want:
-            continue
+    for lab in labels:
+        got, want = _profile(output, lab), _profile(base, witness(lab))
         _require(
-            got == two and want == one,
+            got == want or (got == DIFORK and want == Signature(((1, 1),))),
             f"profile not preserved at {lab!r}: {got} vs {want}",
         )
-    for pen, copy_labels in copies_of.items():
-        expected = Signature(((1, len(incident[pen])),))
-        for lab in copy_labels:
-            got = output.contype_of_mask(output.strict_up_mask(output.index(lab)))
-            _require(
-                got == expected,
-                f"split rung {lab!r} has profile {got}, expected {expected}",
-            )
+    for lab, top_count in split.items():
+        got, expected = _profile(output, lab), Signature(((1, top_count),))
+        _require(
+            got == expected,
+            f"split rung {lab!r} has profile {got}, expected {expected}",
+        )
 
 
 def _verify_diamond_shapes(output: FinitePoset) -> None:

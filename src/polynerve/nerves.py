@@ -11,7 +11,7 @@ from typing import List, Tuple
 from .errors import EmptyPoset, SizeBudgetExceeded
 from .morphisms import PMorphism, is_up_reduction
 from .posets import CHAIN_BUDGET, FinitePoset, poset_from_cover_dag
-from .signatures import EPSILON, Signature
+from .signatures import Signature
 
 SIZE_BUDGET = 10**6
 
@@ -112,12 +112,9 @@ def nerve_is_alpha_connected(
 
     def check(mask: int, addable: int, last_index: int) -> bool:
         nonlocal produced
-        if mask:  # the empty chain is not a nerve element
-            if alpha == EPSILON:
-                if addable == 0:
-                    return False
-            elif alpha.leq(poset.contype_of_mask(addable)):
-                return False
+        # the empty chain is not a nerve element
+        if mask and alpha.splits(poset.contype_of_mask(addable)):
+            return False
         m = addable & ~((1 << (last_index + 1)) - 1)
         while m:
             b = m & -m

@@ -369,7 +369,17 @@ class FinitePoset:
     @classmethod
     def from_json(cls, text: str) -> "FinitePoset":
         payload = json.loads(text)
-        return validate_poset(payload["elements"], [tuple(e) for e in payload["edges"]])
+        if not isinstance(payload, dict) or not {"elements", "edges"} <= payload.keys():
+            raise ValueError("poset JSON must be an object with 'elements' and 'edges'")
+        elements, edges = payload["elements"], payload["edges"]
+        if not isinstance(elements, list) or not all(isinstance(x, str) for x in elements):
+            raise ValueError("poset JSON 'elements' must be a list of strings")
+        if not isinstance(edges, list) or not all(
+            isinstance(e, list) and len(e) == 2 and all(isinstance(x, str) for x in e)
+            for e in edges
+        ):
+            raise ValueError("poset JSON 'edges' must be a list of pairs of strings")
+        return validate_poset(elements, [tuple(e) for e in edges])
 
     def to_dot(self, name: str = "poset") -> str:
         lines = [f"digraph {name} {{"]
@@ -582,10 +592,6 @@ def is_tree(poset: FinitePoset) -> bool:
         for i in range(poset.n)
         if i != root_idx
     )
-
-
-def _chain_label(labels: Sequence[str]) -> str:
-    return "(" + "|".join(labels) + ")"
 
 
 def tree_unravelling(poset: FinitePoset):

@@ -92,10 +92,15 @@ class Signature:
 
     def leq(self, other: "Signature") -> bool:
         """Pointwise order on descending expansions, shorter below longer."""
-        if self.size > other.size:
-            return False
         mine, theirs = self.heights, other.heights
-        return all(mine[j] <= theirs[j] for j in range(self.size))
+        return len(mine) <= len(theirs) and all(a <= b for a, b in zip(mine, theirs))
+
+    def splits(self, contype: "Signature") -> bool:
+        """Whether a set of connectedness type ``contype`` has an open
+        partition into |self| pieces with the prescribed heights: for the
+        empty signature only the empty set does, otherwise exactly when
+        self <= contype."""
+        return self.leq(contype) if self.entries else not contype.entries
 
     def __le__(self, other: "Signature") -> bool:
         return self.leq(other)

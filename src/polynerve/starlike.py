@@ -30,16 +30,10 @@ def starlike_tree(alpha: Signature) -> FinitePoset:
     return poset_from_cover_dag(labels, covers)
 
 
-def _mask_has_alpha_partition(poset: FinitePoset, mask: int, alpha: Signature) -> bool:
-    if alpha == EPSILON:
-        return mask == 0
-    return alpha.leq(poset.contype_of_mask(mask))
-
-
 def has_alpha_partition(poset: FinitePoset, alpha: Signature) -> bool:
     """Open partitions into |alpha| pieces with the prescribed heights exist
     iff alpha is below the connectedness type."""
-    return _mask_has_alpha_partition(poset, poset.full_mask, alpha)
+    return alpha.splits(poset.contype_of_mask(poset.full_mask))
 
 
 def alpha_partition(poset: FinitePoset, alpha: Signature) -> Optional[List[frozenset]]:
@@ -63,19 +57,14 @@ def alpha_partition(poset: FinitePoset, alpha: Signature) -> Optional[List[froze
 
 def is_alpha_connected(poset: FinitePoset, alpha: Signature) -> bool:
     """No element has an alpha-partition of its strict upset."""
-    if alpha == EPSILON:
-        return EPSILON not in poset.strict_up_contypes
-    return not any(alpha.leq(ct) for ct in poset.strict_up_contypes)
+    return not any(map(alpha.splits, poset.strict_up_contypes))
 
 
 def is_alpha_diamond_connected(poset: FinitePoset, alpha: Signature) -> bool:
     """No pair x < y in the completion (the poset plus a synthetic top) has
     an alpha-partition of its strict diamond. Pairs ending at the synthetic
     top contribute the strict upsets of the original poset."""
-    contypes = poset.completion.diamond_contypes
-    if alpha == EPSILON:
-        return EPSILON not in contypes
-    return not any(alpha.leq(ct) for ct in contypes)
+    return not any(map(alpha.splits, poset.completion.diamond_contypes))
 
 
 def is_alpha_nerve_connected(poset: FinitePoset, alpha: Signature) -> bool:

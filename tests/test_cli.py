@@ -140,6 +140,34 @@ def test_malformed_complex_exits_2(capsys, tmp_path, text):
     assert code == 2 and out == "" and err.startswith("polynerve: error:")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{}",
+        "[]",
+        json.dumps({"elements": ["a"]}),
+        json.dumps({"elements": [1, 2], "edges": []}),
+        json.dumps({"elements": "ab", "edges": []}),
+        json.dumps({"elements": ["a", "b"], "edges": [["a"]]}),
+        json.dumps({"elements": ["a", "b"], "edges": [["a", 2]]}),
+    ],
+    ids=["empty-object", "list", "missing-edges", "integer-labels", "string-elements",
+         "short-edge", "integer-endpoint"],
+)
+def test_malformed_poset_exits_2(capsys, tmp_path, text):
+    path = tmp_path / "F.json"
+    path.write_text(text)
+    code, out, err = run(capsys, ["validate", "-i", str(path)])
+    assert code == 2 and out == "" and err.startswith("polynerve: error:")
+
+
+def test_budget_only_on_verbs_that_read_it(capsys, theta_file):
+    code, _, err = run(capsys, ["witness", "--budget", "5", "--lambda", "2.1", "-i", theta_file])
+    assert code == 2 and "--budget" in err
+    code, _, err = run(capsys, ["nerve", "--budget", "5", "-i", theta_file])
+    assert code == 2 and "budget of 5" in err  # the nerve has 19 elements
+
+
 def test_iso_verb(capsys, tmp_path, theta_frame):
     a = tmp_path / "A.json"
     b = tmp_path / "B.json"

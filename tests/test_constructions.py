@@ -5,7 +5,12 @@ import pytest
 
 import polynerve as pn
 from polynerve import Signature, validate_poset
-from polynerve.errors import NotGraded, NotRooted, PreconditionViolated
+from polynerve.errors import (
+    ConstructionPostconditionFailed,
+    NotGraded,
+    NotRooted,
+    PreconditionViolated,
+)
 
 from conftest import make_antichain, make_chain, sample_posets
 
@@ -179,6 +184,66 @@ def test_nervify_makes_diamonds_unsplittable(double_chain):
             )
 
 
+def layered_frame(spec):
+    """A frame from layers: "a<b,c; b<d" has every element of a layer below
+    every element of the next one, per ';'-separated part."""
+    labels, edges = [], []
+    for part in spec.split(";"):
+        layers = [layer.strip().split(",") for layer in part.split("<")]
+        for layer in layers:
+            labels.extend(x for x in layer if x not in labels)
+        for lower, upper in zip(layers, layers[1:]):
+            edges.extend((a, b) for a in lower for b in upper)
+    return validate_poset(labels, edges)
+
+
+def strategy(result):
+    """Which nervify candidate won, read off its trace steps."""
+    steps = [entry["step"] for entry in result.trace]
+    if steps == ["already nerve-connected"]:
+        return "identity"
+    for step in ("ladder", "split_rung", "chevron"):
+        if step in steps:
+            return step
+    raise AssertionError(f"unknown strategy: {steps}")
+
+
+@pytest.mark.parametrize(
+    "spec, lambdas, winner",
+    [
+        ("rt<x0", None, "identity"),
+        ("rt<x0", "1^3", "identity"),
+        ("rt<x0<x1<x4; rt<x2<x3<x4", None, "ladder"),
+        ("rt<x0<x1<x4; rt<x2<x3<x4", "1^3", "identity"),
+        ("rt<x0<x1<x4; rt<x2<x3<x4", "2.1", "ladder"),
+        ("rt<x0,x1,x2<x3", None, "chevron"),
+        ("rt<x0,x1,x2<x3", "1^3", "chevron"),
+        ("rt<x0,x1,x3; x0,x1<x2; x0,x1,x3<x4", None, "split_rung"),
+        ("rt<x0,x1,x3; x0,x1<x2; x0,x1,x3<x4", "1^3", "split_rung"),
+    ],
+)
+def test_nervify_strategies(spec, lambdas, winner):
+    poset = layered_frame(spec)
+    lambdas = None if lambdas is None else [S(lambdas)]
+    result = pn.nervify(poset, lambdas)
+    assert strategy(result) == winner
+    check_result(result, poset, lambdas)
+    assert pn.is_graded(result.output) is not None
+
+
+@pytest.mark.parametrize("lambdas", [None, [S("1^3")]])
+def test_nervify_refusal_says_what_was_tried(lambdas):
+    # both fibres' orderings double-cover a rung that keeps taller structure,
+    # so the plan rejects all four and only the input and the ladders remain
+    poset = layered_frame("rt<x0,x1,x2; x0,x1,x2<x3,x5; x3<x4")
+    with pytest.raises(ConstructionPostconditionFailed) as info:
+        pn.nervify(poset, lambdas)
+    message = str(info.value)
+    assert "2 verified" in message
+    assert "4 fibre orderings rejected by the rung plan" in message
+    assert "not stopped by the cap of 4096 arrangements" in message
+
+
 # -- the full pipeline ----------------------------------------------------------------------
 
 
@@ -210,8 +275,6 @@ def test_resistant_frame_fails_honestly():
     over every maximal root preimage, the Scott axiom demands they connect,
     and any connecting top splits a diamond. The pipeline must refuse with a
     postcondition error rather than return an unverified output."""
-    from polynerve.errors import ConstructionPostconditionFailed
-
     frame = validate_poset(
         ["rt", "x0", "x1", "x2", "x3", "x4", "x5"],
         [
