@@ -5,6 +5,10 @@ class PolynerveError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class MalformedInput(PolynerveError, ValueError):
+    """Input JSON that does not follow the poset or complex schema."""
+
+
 # --- poset construction / queries ---------------------------------------
 
 

@@ -18,6 +18,7 @@ from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 from .errors import (
     AffineDependence,
     BadIntersection,
+    MalformedInput,
     NotDownwardClosed,
     NotUpwardClosed,
     PointOutsideSupport,
@@ -200,12 +201,12 @@ class RationalComplex:
             verts = [tuple(Fraction(num, den) for num, den in v) for v in payload["vertices"]]
             for v in verts:
                 if len(v) != payload["dim"]:
-                    raise ValueError("vertex dimension disagrees with the declared dim")
+                    raise MalformedInput("vertex dimension disagrees with the declared dim")
             if not all(0 <= i < len(verts) for ix in payload["simplices"] for i in ix):
-                raise ValueError("a simplex names a vertex index out of range")
+                raise MalformedInput("a simplex names a vertex index out of range")
             tops = [Simplex(tuple(verts[i] for i in ix)) for ix in payload["simplices"]]
         except (KeyError, TypeError, ZeroDivisionError) as exc:
-            raise ValueError(f"malformed complex JSON: {exc!r}") from exc
+            raise MalformedInput(f"malformed complex JSON: {exc!r}") from exc
         closed: Set[Simplex] = set()
         for s in tops:
             closed.update(s.faces())

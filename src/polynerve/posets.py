@@ -19,6 +19,7 @@ from .errors import (
     EmptyPoset,
     IndexOutOfRange,
     LabelCollision,
+    MalformedInput,
     NotATree,
     NotComparable,
     NotRooted,
@@ -370,15 +371,15 @@ class FinitePoset:
     def from_json(cls, text: str) -> "FinitePoset":
         payload = json.loads(text)
         if not isinstance(payload, dict) or not {"elements", "edges"} <= payload.keys():
-            raise ValueError("poset JSON must be an object with 'elements' and 'edges'")
+            raise MalformedInput("poset JSON must be an object with 'elements' and 'edges'")
         elements, edges = payload["elements"], payload["edges"]
         if not isinstance(elements, list) or not all(isinstance(x, str) for x in elements):
-            raise ValueError("poset JSON 'elements' must be a list of strings")
+            raise MalformedInput("poset JSON 'elements' must be a list of strings")
         if not isinstance(edges, list) or not all(
             isinstance(e, list) and len(e) == 2 and all(isinstance(x, str) for x in e)
             for e in edges
         ):
-            raise ValueError("poset JSON 'edges' must be a list of pairs of strings")
+            raise MalformedInput("poset JSON 'edges' must be a list of pairs of strings")
         return validate_poset(elements, [tuple(e) for e in edges])
 
     def to_dot(self, name: str = "poset") -> str:

@@ -8,58 +8,55 @@ it to the whole carrier.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import product
-from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .errors import ForbiddenSignature, PreconditionViolated, SizeBudgetExceeded
 from .formulas import And, Const, Formula, Imp, Or, Var
 from .morphisms import validates_jankov
-from .posets import FinitePoset, height
+from .posets import FinitePoset, _bits, height
 from .signatures import DIFORK, SCOTT, Signature
 from .starlike import is_alpha_connected, starlike_tree
 
 VALUATION_BUDGET = 10**7
 
 
+def _upsets(poset: FinitePoset, k: int = 0, budget: Optional[int] = None) -> Tuple[int, ...]:
+    """Every up-closed subset as a bitmask, ordered by size, then by mask.
+    Elements are decided in decreasing-height order, and one joins a set only
+    if its upper covers already did, so every set found on the way is an
+    upset and the count never shrinks. The listing therefore stops with
+    SizeBudgetExceeded as soon as the upsets found so far give more than
+    `budget` valuations of `k` variables."""
+    order = iter(sorted(range(poset.n), key=lambda i: (-poset.heights[i], i)))
+    masks = [0]
+    while budget is None or len(masks) ** k <= budget:
+        i = next(order, None)
+        if i is None:
+            return tuple(sorted(masks, key=lambda m: (bin(m).count("1"), m)))
+        covers = 0
+        for j in poset.covers_up[i]:
+            covers |= 1 << j
+        masks += [m | 1 << i for m in masks if covers & ~m == 0]
+    raise SizeBudgetExceeded(
+        f"at least {len(masks) ** k} valuations exceed the budget of {budget}"
+    )
+
+
 class UpsetAlgebra:
     """The finite Heyting algebra of up-closed subsets of a poset, with
     elements represented as bitmasks over the carrier."""
 
+    bottom = 0
+
     def __init__(self, poset: FinitePoset):
         self.poset = poset
+        self.top = poset.full_mask
+        self._down: Dict[int, int] = {0: 0}  # down-closures met so far
 
     @cached_property
     def elements(self) -> Tuple[int, ...]:
-        """Every up-closed subset, enumerated by branching on each element in
-        decreasing-height order (an element may join only if its upper covers
-        already did)."""
-        poset = self.poset
-        order = sorted(range(poset.n), key=lambda i: (-poset.heights[i], i))
-        found = []
-
-        def grow(k: int, mask: int):
-            if k == len(order):
-                found.append(mask)
-                return
-            i = order[k]
-            grow(k + 1, mask)  # leave i out
-            covers = 0
-            for j in poset.covers_up[i]:
-                covers |= 1 << j
-            if covers & ~mask == 0:
-                grow(k + 1, mask | (1 << i))
-
-        grow(0, 0)
-        found.sort(key=lambda m: (bin(m).count("1"), m))
-        return tuple(found)
-
-    @property
-    def bottom(self) -> int:
-        return 0
-
-    @property
-    def top(self) -> int:
-        return self.poset.full_mask
+        """Every up-closed subset, by size and then by bitmask."""
+        return _upsets(self.poset)
 
     def meet(self, u: int, v: int) -> int:
         return u & v
@@ -68,49 +65,107 @@ class UpsetAlgebra:
         return u | v
 
     def implies(self, u: int, v: int) -> int:
-        out = 0
-        for i in range(self.poset.n):
-            if (self.poset.up_mask(i) & u) & ~v == 0:
-                out |= 1 << i
-        return out
+        """U -> V holds at the points x with no y >= x in U but not in V:
+        the complement of the down-closure of U minus V."""
+        gap = u & ~v
+        down = self._down.get(gap)
+        if down is None:
+            down = 0
+            for i in _bits(gap):
+                down |= self.poset.down_mask(i)
+            self._down[gap] = down
+        return self.top & ~down
 
     def members(self, mask: int) -> FrozenSet[str]:
         return self.poset.labels_of(mask)
 
 
-def _evaluate(phi: Formula, env: Dict[str, int], algebra: UpsetAlgebra) -> int:
-    if isinstance(phi, Var):
-        return env[phi.name]
-    if isinstance(phi, Const):
-        return algebra.top if phi.value else algebra.bottom
-    if isinstance(phi, And):
-        return _evaluate(phi.left, env, algebra) & _evaluate(phi.right, env, algebra)
-    if isinstance(phi, Or):
-        return _evaluate(phi.left, env, algebra) | _evaluate(phi.right, env, algebra)
-    if isinstance(phi, Imp):
-        return algebra.implies(
-            _evaluate(phi.left, env, algebra), _evaluate(phi.right, env, algebra)
-        )
-    raise TypeError(f"not a formula: {phi!r}")
+def _flatten(phi: Formula, variables: Tuple[str, ...]) -> List[tuple]:
+    """The distinct subformulas of phi, children before parents and phi
+    itself last, as (connective, level, left, right) with children given by
+    position. The level is the position in `variables` of the last variable
+    the node depends on, or -1 for none; a Const keeps its value as `left`."""
+    index: Dict[Formula, int] = {}
+    nodes: List[tuple] = []
+
+    def visit(node: Formula) -> int:
+        if node in index:
+            return index[node]
+        if isinstance(node, (And, Or, Imp)):
+            left, right = visit(node.left), visit(node.right)
+            entry = (type(node), max(nodes[left][1], nodes[right][1]), left, right)
+        elif isinstance(node, Var):
+            entry = (Var, variables.index(node.name), None, None)
+        elif isinstance(node, Const):
+            entry = (Const, -1, node.value, None)
+        else:
+            raise TypeError(f"not a formula: {node!r}")
+        index[node] = len(nodes)
+        nodes.append(entry)
+        return index[node]
+
+    visit(phi)
+    return nodes
 
 
 def counter_valuation(
     poset: FinitePoset, phi: Formula, budget: int = VALUATION_BUDGET
 ) -> Optional[Dict[str, FrozenSet[str]]]:
     """A variable assignment refuting the formula on the frame, or None if it
-    is valid. Exhausts all upset valuations (budgeted)."""
-    algebra = UpsetAlgebra(poset)
+    is valid. Valuations are tried in `itertools.product` order: variables in
+    `phi.variables()` order, the last one varying fastest, each over the
+    upsets by size and then by bitmask; the first refuting one is returned.
+
+    Evaluation is staged: a subformula is computed once its last variable is
+    bound, so work on the outer variables is hoisted out of the inner loops.
+    The budget on the number of valuations is checked while the upsets are
+    listed, which stops as soon as there are too many; a formula without
+    variables lists none."""
     variables = phi.variables()
-    count = len(algebra.elements) ** len(variables)
-    if count > budget:
-        raise SizeBudgetExceeded(
-            f"{count} valuations exceed the budget of {budget}"
-        )
-    for choice in product(algebra.elements, repeat=len(variables)):
-        env = dict(zip(variables, choice))
-        if _evaluate(phi, env, algebra) != algebra.top:
-            return {name: algebra.members(mask) for name, mask in env.items()}
-    return None
+    k = len(variables)
+    if k:
+        elements = _upsets(poset, k, budget)
+    elif budget < 1:
+        raise SizeBudgetExceeded(f"1 valuation exceeds the budget of {budget}")
+    algebra = UpsetAlgebra(poset)
+    top = algebra.top
+    nodes = _flatten(phi, variables)
+    values = [0] * len(nodes)
+    slots = [0] * k  # the node of each variable
+    stages: List[List[tuple]] = [[] for _ in range(k + 1)]  # stage 0: no variable
+    for position, (kind, level, left, right) in enumerate(nodes):
+        if kind is Var:
+            slots[level] = position
+        elif kind is Const:
+            values[position] = top if left else 0
+        else:
+            stages[level + 1].append((position, kind, left, right))
+    implies = algebra.implies
+
+    def compute(stage: List[tuple]) -> None:
+        for position, kind, left, right in stage:
+            if kind is And:
+                values[position] = values[left] & values[right]
+            elif kind is Or:
+                values[position] = values[left] | values[right]
+            else:
+                values[position] = implies(values[left], values[right])
+
+    def refuted(j: int) -> bool:
+        """Whether some valuation of variables j.. refutes phi, given the
+        outer ones; the refuting upsets are left in their variables' slots."""
+        slot, stage, inner = slots[j], stages[j + 1], j + 1 < k
+        for u in elements:
+            values[slot] = u
+            compute(stage)
+            if (refuted(j + 1) if inner else values[-1] != top):
+                return True
+        return False
+
+    compute(stages[0])
+    if not (refuted(0) if k else values[-1] != top):
+        return None
+    return {name: algebra.members(values[slot]) for name, slot in zip(variables, slots)}
 
 
 def frame_validates(poset: FinitePoset, phi: Formula, budget: int = VALUATION_BUDGET) -> bool:

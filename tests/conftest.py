@@ -3,8 +3,9 @@ naive brute-force oracles that the fast implementations are tested against.
 The brute-force oracles only ever use itertools-style enumeration, never the
 package's own machinery beyond basic order lookups. The replaced algorithms
 kept as differential oracles (backtracking_isomorphism, stellar_subdivision,
-all_pairs_check_complex) reuse the package primitives they were built on:
-elementary stellar moves and the exact-LP intersection test."""
+all_pairs_check_complex, naive_counter_valuation) reuse the package
+primitives they were built on: elementary stellar moves, the exact-LP
+intersection test and the upset listing."""
 from __future__ import annotations
 
 import random
@@ -13,8 +14,10 @@ from itertools import chain, combinations, product
 import pytest
 
 from polynerve import FinitePoset, Signature, elementary_stellar, validate_poset
-from polynerve.errors import BadIntersection, NotDownwardClosed
+from polynerve.errors import BadIntersection, NotDownwardClosed, SizeBudgetExceeded
+from polynerve.formulas import And, Const, Imp, Or, Var
 from polynerve.geometry import _intersection_is_common_face
+from polynerve.semantics import VALUATION_BUDGET, UpsetAlgebra
 from polynerve.randposets import random_poset, random_rooted_poset
 
 
@@ -357,6 +360,44 @@ def all_pairs_check_complex(simplices) -> None:
         for t in ordered[i + 1 :]:
             if not _intersection_is_common_face(s, t):
                 raise BadIntersection(f"{s.label()} and {t.label()} do not meet in a common face")
+
+
+def naive_evaluate(phi, env, algebra) -> int:
+    """The package's former evaluator: one recursive walk of the formula per
+    valuation, with U -> V computed pointwise as {x | up(x) ∩ U ⊆ V}."""
+    if isinstance(phi, Var):
+        return env[phi.name]
+    if isinstance(phi, Const):
+        return algebra.top if phi.value else algebra.bottom
+    left = naive_evaluate(phi.left, env, algebra)
+    right = naive_evaluate(phi.right, env, algebra)
+    if isinstance(phi, And):
+        return left & right
+    if isinstance(phi, Or):
+        return left | right
+    if isinstance(phi, Imp):
+        out = 0
+        for i in range(algebra.poset.n):
+            if algebra.poset.up_mask(i) & left & ~right == 0:
+                out |= 1 << i
+        return out
+    raise TypeError(f"not a formula: {phi!r}")
+
+
+def naive_counter_valuation(poset, phi, budget=VALUATION_BUDGET):
+    """The package's former search for a refuting valuation: every upset
+    valuation in itertools.product order, each evaluated from scratch, after
+    the whole upset list is built and the valuation count checked."""
+    algebra = UpsetAlgebra(poset)
+    variables = phi.variables()
+    count = len(algebra.elements) ** len(variables)
+    if count > budget:
+        raise SizeBudgetExceeded(f"{count} valuations exceed the budget of {budget}")
+    for choice in product(algebra.elements, repeat=len(variables)):
+        env = dict(zip(variables, choice))
+        if naive_evaluate(phi, env, algebra) != algebra.top:
+            return {name: algebra.members(mask) for name, mask in env.items()}
+    return None
 
 
 def sample_posets(count, max_size, seed, rooted=False):

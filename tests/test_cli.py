@@ -4,6 +4,7 @@ import pytest
 
 import polynerve as pn
 from polynerve.cli import main
+from polynerve.errors import MalformedInput
 
 
 @pytest.fixture
@@ -161,6 +162,14 @@ def test_malformed_poset_exits_2(capsys, tmp_path, text):
     assert code == 2 and out == "" and err.startswith("polynerve: error:")
 
 
+@pytest.mark.parametrize("text", ["{}", "[]"])
+def test_loaders_raise_malformed_input(text):
+    with pytest.raises(MalformedInput):
+        pn.FinitePoset.from_json(text)
+    with pytest.raises(MalformedInput):
+        pn.RationalComplex.from_json(text)
+
+
 def test_budget_only_on_verbs_that_read_it(capsys, theta_file):
     code, _, err = run(capsys, ["witness", "--budget", "5", "--lambda", "2.1", "-i", theta_file])
     assert code == 2 and "--budget" in err
@@ -234,6 +243,41 @@ def test_validate_with_named_logic(capsys, theta_file):
     assert code == 0 and json.loads(out)["result"] is True
     code, _, err = run(capsys, ["validate", "-i", theta_file, "--logic", "XY:1"])
     assert code == 2 and err
+
+
+@pytest.mark.parametrize(
+    "frame, formula, code, stdout",
+    [
+        (
+            {"elements": ["r", "a", "b"], "edges": [["r", "a"], ["r", "b"]]},
+            "~p|~~p",
+            1,
+            '{"components": 1, "counter_valuation": {"p": ["a"]}, "elements": 3, '
+            '"formula": "~p|~~p", "height": 1, "result": false, "verb": "validate"}\n',
+        ),
+        (
+            {"elements": ["r", "a", "b", "c"], "edges": [["r", "a"], ["r", "b"], ["r", "c"]]},
+            "(p0->p1|p2)|(p1->p0|p2)|(p2->p0|p1)",
+            1,
+            '{"components": 1, "counter_valuation": {"p0": ["a"], "p1": ["b"], "p2": ["c"]}, '
+            '"elements": 4, "formula": "(p0->p1|p2)|(p1->p0|p2)|(p2->p0|p1)", "height": 1, '
+            '"result": false, "verb": "validate"}\n',
+        ),
+        (
+            {"elements": ["x0", "x1", "x2", "x3"], "edges": [["x0", "x1"], ["x1", "x2"], ["x2", "x3"]]},
+            "(p->q)|(q->p)",
+            0,
+            '{"components": 1, "elements": 4, "formula": "(p->q)|(q->p)", "height": 3, '
+            '"result": true, "verb": "validate"}\n',
+        ),
+    ],
+    ids=["fork-KC", "three-fork-BW2", "chain-LC"],
+)
+def test_validate_formula_output_is_pinned(capsys, tmp_path, frame, formula, code, stdout):
+    # the first refuting valuation in enumeration order, byte for byte
+    path = tmp_path / "F.json"
+    path.write_text(json.dumps(frame))
+    assert run(capsys, ["validate", "-i", str(path), "--formula", formula])[:2] == (code, stdout)
 
 
 def test_validate_with_formula(capsys, theta_file):

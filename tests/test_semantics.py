@@ -7,7 +7,7 @@ from polynerve import Signature, parse_formula, validate_poset
 from polynerve.errors import ForbiddenSignature, PreconditionViolated, SizeBudgetExceeded
 from polynerve.semantics import UpsetAlgebra
 
-from conftest import brute_upsets, make_antichain, make_chain, sample_posets
+from conftest import brute_upsets, make_antichain, make_chain, naive_evaluate, sample_posets
 
 S = Signature.parse
 
@@ -55,9 +55,7 @@ def test_counter_valuation_is_a_witness():
     # the reported upset really refutes the formula
     algebra = UpsetAlgebra(fork)
     env = {name: fork.mask_of(members) for name, members in witness.items()}
-    from polynerve.semantics import _evaluate
-
-    assert _evaluate(kc, env, algebra) != algebra.top
+    assert naive_evaluate(kc, env, algebra) != algebra.top
 
 
 def test_chains_validate_lc_forks_refute_kc():
