@@ -139,7 +139,7 @@ def cmd_jankov(args) -> int:
 
     poset = _load_poset(args)
     target = starlike_tree(Signature.parse(args.target))
-    witness = find_up_reduction(poset, target, budget=args.budget)
+    witness = find_up_reduction(poset, target)
     holds = witness is None
     extra = {} if holds else {"witness": json.loads(witness.to_json())}
     _emit(_result_payload("jankov", holds, target=args.target, **extra), args.output)
@@ -213,7 +213,7 @@ def cmd_census(args) -> int:
         poset = random_rooted_poset(size, rng)
         for alpha in alphas:
             connected = is_alpha_connected(poset, alpha)
-            jankov = validates_jankov(poset, starlike_tree(alpha), budget=args.budget)
+            jankov = validates_jankov(poset, starlike_tree(alpha))
             nerve_conn = is_alpha_nerve_connected(poset, alpha)
             writer.writerow(
                 [
@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_contype)
 
     p = sub.add_parser("jankov", help="forbidden-configuration validity against a starlike tree")
-    with_budget(p)
+    common(p)
     p.add_argument("--target", required=True, help="signature, e.g. 2.1")
     p.set_defaults(handler=cmd_jankov)
 
@@ -302,8 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("other", help="second poset file")
     p.set_defaults(handler=cmd_iso)
 
-    p = sub.add_parser("census", help="sample posets and tabulate connectedness vs search")
-    with_budget(p)
+    p = sub.add_parser("census", help="sample posets and tabulate connectedness vs up-reductions")
+    common(p)
     p.add_argument("--size", type=int, default=5, help="maximum poset size (cap 8)")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)

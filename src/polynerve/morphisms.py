@@ -1,5 +1,6 @@
-"""p-morphisms, up-reductions, and the backtracking searches built on them:
-forbidden-configuration validity, poset isomorphism, monotone surjections.
+"""p-morphisms and up-reductions: forbidden-configuration validity (a
+construction onto starlike trees, a backtracking search onto other rooted
+targets), poset isomorphism, monotone surjections.
 """
 from __future__ import annotations
 
@@ -136,16 +137,69 @@ def find_up_reduction(
 ) -> Optional[PMorphism]:
     """Some up-reduction of ``poset`` onto the rooted ``target``, or None.
 
-    The search ranges over pointed up-reductions only (domain an upset of a
-    single apex, apex the unique preimage of the root), which is no loss of
-    generality. Apexes are tried by decreasing height; fibre values by target
-    height from the root. The first witness found under that fixed order is
-    returned, so reruns are reproducible.
+    Only pointed up-reductions are considered (domain the upset of a single
+    apex, apex the unique preimage of the root), which is no loss of
+    generality. Apexes are tried by decreasing height, then index, and the
+    first that admits a witness is used, so reruns are reproducible.
+
+    Onto a starlike tree (every non-root element has one lower and at most
+    one upper cover) the witness is constructed, and ``budget`` is unused.
+    The apex is the first whose strict upset has an alpha-partition, alpha
+    the branch heights; it goes to the root, and an element of depth d in the
+    block of a branch of height h goes to the branch element h - min(d, h - 1)
+    from the root. Forth holds because depth is antitone; back because a
+    longest chain above an element meets every smaller depth. Conversely the
+    branches of any pointed reduction pull back to an alpha-partition of the
+    apex's strict upset, so None means that no reduction exists. Onto other
+    rooted targets a backtracking search visits at most ``budget`` states,
+    raising SearchBudgetExceeded beyond.
     """
     root = target.root()
     if root is None:
         raise TargetNotRooted("up-reduction targets must be rooted")
     root_idx = target.index(root)
+    down, up = target.covers_down, target.covers_up
+    if any(
+        len(down[j]) != 1 or len(up[j]) > 1 for j in range(target.n) if j != root_idx
+    ):
+        return _search_up_reduction(poset, target, budget)
+    branches = []
+    for bottom in up[root_idx]:
+        branch = [bottom]
+        while up[branch[-1]]:
+            branch.append(up[branch[-1]][0])
+        branches.append(branch)
+    branches.sort(key=lambda b: (-len(b), b[0]))
+    want = Signature.from_heights(len(b) for b in branches)
+    for apex in sorted(range(poset.n), key=lambda i: (-poset.heights[i], i)):
+        above = poset.strict_up_mask(apex)
+        if want.splits(poset.contype_of_mask(above)):
+            break
+    else:
+        return None
+    # as in starlike.alpha_partition: tallest components first, surplus merged
+    blocks = sorted(poset.component_masks(above), key=lambda c: -poset.mask_height(c))
+    for surplus in blocks[len(branches):]:
+        blocks[0] |= surplus
+    mapping = {poset.labels[apex]: root}
+    for branch, block in zip(branches, blocks):
+        h = len(branch)
+        for y in _mask_bits(block):
+            mapping[poset.labels[y]] = target.labels[branch[h - 1 - min(poset.depths[y], h - 1)]]
+    witness = PMorphism(poset, target, frozenset(mapping), mapping)
+    if not is_up_reduction(witness):
+        raise RuntimeError("internal error: constructed a bad up-reduction")
+    return witness
+
+
+def _search_up_reduction(
+    poset: FinitePoset, target: FinitePoset, budget: int = SEARCH_BUDGET
+) -> Optional[PMorphism]:
+    """Backtracking search for a pointed up-reduction onto the rooted
+    ``target``, visiting at most ``budget`` states. Apexes are tried by
+    decreasing height, then index; non-apex elements by decreasing height,
+    each taking fibre values by target height from the root."""
+    root_idx = target.index(target.root())
     tgt_n = target.n
     # candidate values for non-apex elements, root excluded
     value_order = sorted(
@@ -181,6 +235,7 @@ def find_up_reduction(
                     image |= 1 << v
                 return image == target.full_mask
             i = order[k]
+            above = poset.strict_up_mask(i) & poset.up_mask(apex)
             for v in value_order:
                 visited += 1
                 if visited > budget:
@@ -190,7 +245,7 @@ def find_up_reduction(
                 # forth against everything already assigned above i
                 ok = True
                 image_above = 0
-                m = poset.strict_up_mask(i) & poset.up_mask(apex)
+                m = above
                 while m:
                     b = m & -m
                     m ^= b

@@ -175,6 +175,35 @@ def test_budget_only_on_verbs_that_read_it(capsys, theta_file):
     assert code == 2 and "--budget" in err
     code, _, err = run(capsys, ["nerve", "--budget", "5", "-i", theta_file])
     assert code == 2 and "budget of 5" in err  # the nerve has 19 elements
+    # reductions onto starlike trees are constructed, so nothing is budgeted
+    code, _, err = run(capsys, ["jankov", "--budget", "5", "--target", "2.1", "-i", theta_file])
+    assert code == 2 and "--budget" in err
+
+
+def test_jankov_witness_bytes(capsys, tmp_path, theta_frame):
+    path = tmp_path / "NF.json"
+    path.write_text(pn.nerve(theta_frame).to_json())
+    code, out, _ = run(capsys, ["jankov", "--target", "2.1", "-i", str(path)])
+    assert code == 1
+    assert out == (
+        '{"result": false, "target": "2.1", "verb": "jankov", "witness": {"domain": '
+        '["(r|a1|a2|t)", "(r|a1|t)", "(r|a2|t)", "(r|b|t)", "(r|t)"], "map": '
+        '{"(r|a1|a2|t)": "b1.2", "(r|a1|t)": "b1.1", "(r|a2|t)": "b1.1", '
+        '"(r|b|t)": "b2.1", "(r|t)": "r"}}}\n'
+    )
+    # a root under a two-chain and two leaves: the surplus leaf joins the
+    # first block, so it goes to the top of the long branch
+    path.write_text(json.dumps({
+        "elements": ["pbb", "tur", "edo", "pmo", "icj"],
+        "edges": [["edo", "icj"], ["pmo", "edo"], ["pmo", "tur"], ["pmo", "pbb"]],
+    }))
+    code, out, _ = run(capsys, ["jankov", "--target", "2.1", "-i", str(path)])
+    assert code == 1
+    assert out == (
+        '{"result": false, "target": "2.1", "verb": "jankov", "witness": {"domain": '
+        '["edo", "icj", "pbb", "pmo", "tur"], "map": {"edo": "b1.1", "icj": "b1.2", '
+        '"pbb": "b2.1", "pmo": "r", "tur": "b1.2"}}}\n'
+    )
 
 
 def test_iso_verb(capsys, tmp_path, theta_frame):

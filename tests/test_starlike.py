@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 import polynerve as pn
 from polynerve import Signature, validate_poset
 from polynerve.errors import ForbiddenSignature
+from polynerve.randposets import random_rooted_poset
 
 from conftest import (
     brute_has_alpha_partition,
@@ -111,6 +114,27 @@ def test_nerve_connectedness_matches_nerve_of_poset():
             mid = pn.is_alpha_connected(nrv, alpha)
             rhs = pn.is_alpha_nerve_connected(nrv, alpha)
             assert lhs == mid == rhs
+
+
+def test_nerve_criterion_on_second_nerves():
+    # Nerve Criterion on the materialised second nerve, decided three ways;
+    # second nerves reach a few hundred elements, where a backtracking
+    # reduction search can exhaust its budget
+    rng = random.Random(67)
+    frames = 0
+    outcomes = set()
+    while frames < 150:
+        poset = random_rooted_poset(rng.randint(1, 5), rng)
+        if pn.nerve(poset).count_chains() > 400:
+            continue
+        frames += 1
+        twice = pn.iterated_nerve(poset, 2)
+        for alpha in ALPHAS:
+            holds = pn.is_alpha_nerve_connected(poset, alpha)
+            assert holds == pn.is_alpha_connected(twice, alpha)
+            assert holds == (pn.find_up_reduction(twice, pn.starlike_tree(alpha)) is None)
+            outcomes.add(holds)
+    assert outcomes == {True, False}
 
 
 def test_nerve_equivalence_needs_a_root():
