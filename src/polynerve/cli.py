@@ -38,6 +38,9 @@ from . import (
     validate_poset,
 )
 from .errors import PolynerveError
+from .geometry import SIMPLEX_BUDGET
+from .morphisms import SEARCH_BUDGET
+from .nerves import SIZE_BUDGET
 from .signatures import SCOTT
 
 
@@ -241,9 +244,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-i", "--input", help="input file (default: stdin)")
         p.add_argument("-o", "--output", help="output file (default: stdout)")
 
-    def with_budget(p):
+    def with_budget(p, default):
+        """--budget, defaulting to the budget of the library call it feeds."""
         common(p)
-        p.add_argument("--budget", type=int, default=10**6, help="size/search budget")
+        p.add_argument("--budget", type=int, default=default, help="size/search budget")
 
     p = sub.add_parser("validate", help="load, close and summarise a poset")
     common(p)
@@ -252,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_validate)
 
     p = sub.add_parser("nerve", help="iterated nerve of a poset")
-    with_budget(p)
+    with_budget(p, SIZE_BUDGET)
     p.add_argument("-k", type=int, default=1, help="number of nerve iterations")
     p.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
     p.set_defaults(handler=cmd_nerve)
@@ -289,16 +293,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_witness)
 
     p = sub.add_parser("subdivide", help="k-th derived subdivision of a complex")
-    with_budget(p)
+    with_budget(p, SIMPLEX_BUDGET)
     p.add_argument("-k", type=int, default=1)
     p.set_defaults(handler=cmd_subdivide)
 
     p = sub.add_parser("realize", help="standard-basis realization of a poset")
-    with_budget(p)
+    with_budget(p, SIMPLEX_BUDGET)
     p.set_defaults(handler=cmd_realize)
 
     p = sub.add_parser("iso", help="poset isomorphism check")
-    with_budget(p)
+    with_budget(p, SEARCH_BUDGET)
     p.add_argument("other", help="second poset file")
     p.set_defaults(handler=cmd_iso)
 

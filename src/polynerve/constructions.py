@@ -69,9 +69,14 @@ def _assembled(
     return ConstructionResult(output, witness, trace)
 
 
-def _profile(poset: FinitePoset, label: str) -> Signature:
+def _profile(poset: FinitePoset, label: str) -> Tuple[int, ...]:
     """Connectedness type of the strict upset of one element."""
-    return poset.contype_of_mask(poset.strict_up_mask(poset.index(label)))
+    return poset.strict_up_contypes[poset.index(label)]
+
+
+def _text(contype: Tuple[int, ...]) -> str:
+    """A connectedness type in signature notation, for messages."""
+    return Signature.from_heights(contype).text()
 
 
 def _verify_witness(result: ConstructionResult) -> None:
@@ -115,10 +120,10 @@ def _contype_preserved_on(
 ) -> None:
     for lab in labels:
         got, want = _profile(output, lab), _profile(base, witness(lab))
-        _require(
-            got == want,
-            f"connectedness type not preserved at {lab!r}: {got} vs {want}",
-        )
+        if got != want:
+            raise ConstructionPostconditionFailed(
+                f"connectedness type not preserved at {lab!r}: {_text(got)} vs {_text(want)}"
+            )
 
 
 def gradify_with_scott(poset: FinitePoset, lambdas: Iterable[Signature]) -> ConstructionResult:
@@ -439,7 +444,7 @@ def nervify(
         blob into up to two, on top of whatever taller components the rung
         keeps; the only universally harmless case is a lone extra blob over
         a rung with nothing else above it."""
-        base_comps = len(_profile(poset, last(tree.labels[pen])).heights)
+        base_comps = len(_profile(poset, last(tree.labels[pen])))
         grown = base_comps + got - top_count
         if fork_sizes is None:
             return not (base_comps == 1 and grown == 2)
@@ -646,24 +651,26 @@ def _verify_nervify_profiles(result, base, labels, split) -> None:
     output, witness = result.output, result.witness
     for lab in labels:
         got, want = _profile(output, lab), _profile(base, witness(lab))
-        _require(
-            got == want or (got == DIFORK and want == Signature(((1, 1),))),
-            f"profile not preserved at {lab!r}: {got} vs {want}",
-        )
+        if got != want and (got, want) != ((1, 1), (1,)):
+            raise ConstructionPostconditionFailed(
+                f"profile not preserved at {lab!r}: {_text(got)} vs {_text(want)}"
+            )
     for lab, top_count in split.items():
-        got, expected = _profile(output, lab), Signature(((1, top_count),))
-        _require(
-            got == expected,
-            f"split rung {lab!r} has profile {got}, expected {expected}",
-        )
+        got, expected = _profile(output, lab), (1,) * top_count
+        if got != expected:
+            raise ConstructionPostconditionFailed(
+                f"split rung {lab!r} has profile {_text(got)}, expected {_text(expected)}"
+            )
 
 
 def _verify_diamond_shapes(output: FinitePoset) -> None:
     """Every strict diamond must be connected or a two-point antichain, the
     shapes no legal signature can split."""
     for ct in output.diamond_contypes:
-        ok = ct.is_empty or ct.is_chain or ct == Signature(((1, 2),)) or ct == Signature(((1, 1),))
-        _require(ok, f"a strict diamond has connectedness type {ct}")
+        if len(ct) > 1 and ct != (1, 1):
+            raise ConstructionPostconditionFailed(
+                f"a strict diamond has connectedness type {_text(ct)}"
+            )
 
 
 def starlike_witness(poset: FinitePoset, lambdas: Iterable[Signature]) -> ConstructionResult:

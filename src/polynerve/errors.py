@@ -75,7 +75,8 @@ class NotComparableSignatures(PolynerveError):
 
 
 class SizeBudgetExceeded(PolynerveError):
-    """An output (nerve, valuation space, complex) would exceed its size cap."""
+    """An output (nerve, valuation space, complex) would exceed its size cap,
+    or a formula nests deeper than evaluation can follow."""
 
 
 # --- logic layer ----------------------------------------------------------

@@ -159,7 +159,10 @@ def parse_formula(text: str) -> Formula:
             return Imp(node, implication())
         return node
 
-    result = implication()
+    try:
+        result = implication()
+    except RecursionError:
+        fail("formula is nested too deeply")
     if index != len(tokens):
         fail(f"trailing input {tokens[index][0]!r}")
     return result

@@ -18,6 +18,7 @@ from .errors import (
 )
 from .posets import FinitePoset
 from .signatures import Signature
+from .starlike import alpha_blocks, starlike_tree
 
 SEARCH_BUDGET = 10**7
 
@@ -172,15 +173,11 @@ def find_up_reduction(
     branches.sort(key=lambda b: (-len(b), b[0]))
     want = Signature.from_heights(len(b) for b in branches)
     for apex in sorted(range(poset.n), key=lambda i: (-poset.heights[i], i)):
-        above = poset.strict_up_mask(apex)
-        if want.splits(poset.contype_of_mask(above)):
+        if want.splits(poset.strict_up_contypes[apex]):
             break
     else:
         return None
-    # as in starlike.alpha_partition: tallest components first, surplus merged
-    blocks = sorted(poset.component_masks(above), key=lambda c: -poset.mask_height(c))
-    for surplus in blocks[len(branches):]:
-        blocks[0] |= surplus
+    blocks = alpha_blocks(poset, poset.strict_up_mask(apex), len(branches))
     mapping = {poset.labels[apex]: root}
     for branch, block in zip(branches, blocks):
         h = len(branch)
@@ -296,8 +293,6 @@ def signature_reduction(beta: Signature, alpha: Signature) -> PMorphism:
     starlike tree of ``alpha``, defined when alpha <= beta: branch j maps onto
     branch j (excess collapsing to the branch top), leftover branches map to
     the top of the first branch."""
-    from .starlike import starlike_tree  # deferred: starlike depends on us
-
     if not alpha.leq(beta):
         raise NotComparableSignatures(f"{alpha} is not below {beta}")
     source = starlike_tree(beta)

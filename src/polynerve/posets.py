@@ -26,7 +26,7 @@ from .errors import (
     SizeBudgetExceeded,
     UnknownElement,
 )
-from .signatures import EPSILON, Signature
+from .signatures import Signature
 
 COMPLETION_LABEL = "inf"
 WIDTH_CAP = 20
@@ -260,38 +260,29 @@ class FinitePoset:
             top = max(top, h)
         return top
 
-    def contype_of_mask(self, mask: int) -> Signature:
-        return Signature.from_heights(
-            self.mask_height(c) + 1 for c in self.component_masks(mask)
+    def contype_of_mask(self, mask: int) -> Tuple[int, ...]:
+        """Connectedness type of the subposet on ``mask``: the heights
+        (longest chain sizes) of its components in descending order, ``()``
+        for the empty mask."""
+        return tuple(
+            sorted((self.mask_height(c) + 1 for c in self.component_masks(mask)), reverse=True)
         )
 
     @cached_property
-    def strict_up_contypes(self) -> frozenset:
-        """Distinct ConType(strict upset of x) over all x; used heavily by the
-        connectedness checks."""
-        return frozenset(
-            self.contype_of_mask(self.strict_up_mask(i)) for i in range(self.n)
-        )
+    def strict_up_contypes(self) -> Tuple[Tuple[int, ...], ...]:
+        """Connectedness type of the strict upset of each element, indexed by
+        element, as height tuples (see :meth:`contype_of_mask`)."""
+        return tuple(self.contype_of_mask(self.strict_up_mask(i)) for i in range(self.n))
 
     @cached_property
     def diamond_contypes(self) -> frozenset:
-        """Distinct ConType(strict diamond of x,y) over all pairs x < y."""
-        out = set()
-        seen_empty = False
-        for i in range(self.n):
-            m = self.strict_up_mask(i)
-            while m:
-                b = m & -m
-                m ^= b
-                j = b.bit_length() - 1
-                dia = self.strict_up_mask(i) & self.strict_down_mask(j)
-                if dia:
-                    out.add(self.contype_of_mask(dia))
-                else:
-                    seen_empty = True
-        if seen_empty:
-            out.add(EPSILON)
-        return frozenset(out)
+        """Distinct connectedness types of the strict diamonds of all pairs
+        x < y, as height tuples."""
+        return frozenset(
+            self.contype_of_mask(self.strict_up_mask(i) & self.strict_down_mask(j))
+            for i in range(self.n)
+            for j in _bits(self.strict_up_mask(i))
+        )
 
     @cached_property
     def completion(self) -> "FinitePoset":
@@ -541,7 +532,7 @@ def connected_components(poset: FinitePoset) -> List[frozenset]:
 
 
 def con_type(poset: FinitePoset) -> Signature:
-    return poset.contype_of_mask(poset.full_mask)
+    return Signature.from_heights(poset.contype_of_mask(poset.full_mask))
 
 
 def is_graded(poset: FinitePoset) -> Optional[Dict[str, int]]:

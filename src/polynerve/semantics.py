@@ -121,7 +121,11 @@ def counter_valuation(
     The budget on the number of valuations is checked while the upsets are
     listed, which stops as soon as there are too many; a formula without
     variables lists none."""
-    variables = phi.variables()
+    try:
+        variables = phi.variables()
+        nodes = _flatten(phi, variables)
+    except RecursionError:
+        raise SizeBudgetExceeded("formula is nested too deeply to evaluate") from None
     k = len(variables)
     if k:
         elements = _upsets(poset, k, budget)
@@ -129,7 +133,6 @@ def counter_valuation(
         raise SizeBudgetExceeded(f"1 valuation exceeds the budget of {budget}")
     algebra = UpsetAlgebra(poset)
     top = algebra.top
-    nodes = _flatten(phi, variables)
     values = [0] * len(nodes)
     slots = [0] * k  # the node of each variable
     stages: List[List[tuple]] = [[] for _ in range(k + 1)]  # stage 0: no variable
@@ -175,14 +178,13 @@ def frame_validates(poset: FinitePoset, phi: Formula, budget: int = VALUATION_BU
 def validates_bd(poset: FinitePoset, n: int) -> bool:
     """Bounded-depth validity: the chain on n+1 elements is forbidden, which
     on finite frames is exactly height <= n-1. Both readings are computed and
-    compared."""
+    compared. No frame maps onto a chain longer than itself, so the chain is
+    built on at most |poset| + 1 elements and the cost does not grow with n."""
     if n < 0:
         raise ValueError("the depth bound must be nonnegative")
     by_height = poset.is_empty or height(poset) <= n - 1
-    if n == 0:
-        chain = starlike_tree(Signature(()))
-    else:
-        chain = starlike_tree(Signature(((n, 1),)))
+    m = min(n, poset.n)
+    chain = starlike_tree(Signature(((m, 1),) if m else ()))
     by_search = validates_jankov(poset, chain)
     if by_height != by_search:
         raise RuntimeError("internal error: the two depth checks disagree")
@@ -231,12 +233,10 @@ def scott_frame_conditions(poset: FinitePoset, lambdas: Iterable[Signature]) -> 
     fork_bound = min((a.entries[0][1] for a in lambdas if a.is_fork), default=None)
     if not poset.is_empty and chain_bound is not None and height(poset) >= chain_bound:
         return False
-    for i in range(poset.n):
-        d = poset.depths[i]
-        up = poset.strict_up_mask(i)
-        if d == 1 and fork_bound is not None:
-            if bin(up).count("1") >= fork_bound:
-                return False
-        if d > 1 and len(poset.component_masks(up)) != 1:
+    for d, contype in zip(poset.depths, poset.strict_up_contypes):
+        # at depth 1 the strict upset is an antichain: one component per point
+        if d == 1 and fork_bound is not None and len(contype) >= fork_bound:
+            return False
+        if d > 1 and len(contype) != 1:
             return False
     return True

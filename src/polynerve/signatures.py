@@ -8,6 +8,7 @@ heights and posets by the heights of their connected components.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Tuple
 
 
@@ -58,15 +59,12 @@ class Signature:
     @property
     def size(self) -> int:
         """Total number of branches, |alpha|."""
-        return sum(m for _, m in self.entries)
+        return len(self.heights)
 
-    @property
+    @cached_property
     def heights(self) -> Tuple[int, ...]:
         """Descending expansion, one height per branch."""
-        out = []
-        for n, m in self.entries:
-            out.extend([n] * m)
-        return tuple(out)
+        return tuple(n for n, m in self.entries for _ in range(m))
 
     def at(self, j: int) -> int:
         """The j-th height (1-indexed, descending)."""
@@ -92,15 +90,15 @@ class Signature:
 
     def leq(self, other: "Signature") -> bool:
         """Pointwise order on descending expansions, shorter below longer."""
-        mine, theirs = self.heights, other.heights
-        return len(mine) <= len(theirs) and all(a <= b for a, b in zip(mine, theirs))
+        return _below(self.heights, other.heights)
 
-    def splits(self, contype: "Signature") -> bool:
-        """Whether a set of connectedness type ``contype`` has an open
+    def splits(self, contype: Tuple[int, ...]) -> bool:
+        """Whether a set of connectedness type ``contype`` (its component
+        heights in descending order, ``()`` for the empty set) has an open
         partition into |self| pieces with the prescribed heights: for the
         empty signature only the empty set does, otherwise exactly when
-        self <= contype."""
-        return self.leq(contype) if self.entries else not contype.entries
+        self.heights is pointwise below ``contype``."""
+        return _below(self.heights, contype) if self.heights else not contype
 
     def __le__(self, other: "Signature") -> bool:
         return self.leq(other)
@@ -120,6 +118,10 @@ class Signature:
 
     def __repr__(self) -> str:
         return f"Signature({self.text()!r})"
+
+
+def _below(mine: Tuple[int, ...], theirs: Tuple[int, ...]) -> bool:
+    return len(mine) <= len(theirs) and all(a <= b for a, b in zip(mine, theirs))
 
 
 EPSILON = Signature(())

@@ -11,7 +11,7 @@ from typing import List, Optional
 
 from .errors import ForbiddenSignature
 from .posets import FinitePoset, poset_from_cover_dag
-from .signatures import DIFORK, EPSILON, Signature
+from .signatures import DIFORK, Signature
 
 
 def starlike_tree(alpha: Signature) -> FinitePoset:
@@ -37,22 +37,22 @@ def has_alpha_partition(poset: FinitePoset, alpha: Signature) -> bool:
 
 
 def alpha_partition(poset: FinitePoset, alpha: Signature) -> Optional[List[frozenset]]:
-    """A witnessing partition, or None. Components are assigned to signature
-    slots in descending height order; surplus components are merged into the
-    first slot (any open superset keeps the required height)."""
-    if alpha == EPSILON:
-        return [] if poset.is_empty else None
+    """A witnessing partition (see :func:`alpha_blocks`), or None."""
     if not has_alpha_partition(poset, alpha):
         return None
-    comps = sorted(
-        poset.component_masks(poset.full_mask),
-        key=lambda c: -poset.mask_height(c),
-    )
-    k = alpha.size
-    blocks = comps[:k]
-    for surplus in comps[k:]:
+    return [poset.labels_of(b) for b in alpha_blocks(poset, poset.full_mask, alpha.size)]
+
+
+def alpha_blocks(poset: FinitePoset, mask: int, k: int) -> List[int]:
+    """The k blocks, as masks, of an alpha-partition of ``mask`` for a
+    signature alpha of size k that splits it: components are assigned to the
+    slots in descending height order (ties in the order ``component_masks``
+    lists them), and surplus components are merged into the first slot (any
+    open superset keeps the required height)."""
+    blocks = sorted(poset.component_masks(mask), key=lambda c: -poset.mask_height(c))
+    for surplus in blocks[k:]:
         blocks[0] |= surplus
-    return [poset.labels_of(b) for b in blocks]
+    return blocks[:k]
 
 
 def is_alpha_connected(poset: FinitePoset, alpha: Signature) -> bool:

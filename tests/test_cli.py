@@ -3,8 +3,9 @@ import json
 import pytest
 
 import polynerve as pn
-from polynerve.cli import main
+from polynerve.cli import build_parser, main
 from polynerve.errors import MalformedInput
+from polynerve.morphisms import SEARCH_BUDGET
 
 
 @pytest.fixture
@@ -226,6 +227,8 @@ def test_iso_verb_passes_budget(capsys, tmp_path, double_chain):
     assert code == 2 and "exceeded 1" in err
     code, out, _ = run(capsys, ["iso", "-i", str(a), str(a)])
     assert code == 0 and json.loads(out)["result"] is True
+    # without --budget, the library's own default applies
+    assert build_parser().parse_args(["iso", "x"]).budget == SEARCH_BUDGET
 
 
 def test_census_determinism_and_agreement(capsys):
@@ -272,6 +275,19 @@ def test_validate_with_named_logic(capsys, theta_file):
     assert code == 0 and json.loads(out)["result"] is True
     code, _, err = run(capsys, ["validate", "-i", theta_file, "--logic", "XY:1"])
     assert code == 2 and err
+    # the depth bound does not set the size of the forbidden chain
+    code, out, _ = run(capsys, ["validate", "-i", theta_file, "--logic", "BD:1000000000"])
+    assert code == 0 and json.loads(out)["result"] is True
+
+
+@pytest.mark.parametrize(
+    "formula", ["~" * 600 + "p", "(" * 250 + "p" + ")" * 250], ids=["negations", "parentheses"]
+)
+def test_deeply_nested_formula_exits_2(capsys, theta_file, formula):
+    code, out, err = run(capsys, ["validate", "-i", theta_file, "--formula", formula])
+    assert code == 2 and out == ""
+    assert err.startswith("polynerve: error: formula is nested too deeply")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

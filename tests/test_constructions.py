@@ -5,6 +5,7 @@ import pytest
 
 import polynerve as pn
 from polynerve import Signature, validate_poset
+from polynerve.constructions import ConstructionResult, _verify_nervify_profiles
 from polynerve.errors import (
     ConstructionPostconditionFailed,
     NotGraded,
@@ -242,6 +243,23 @@ def test_nervify_refusal_says_what_was_tried(lambdas):
     assert "2 verified" in message
     assert "4 fibre orderings rejected by the rung plan" in message
     assert "not stopped by the cap of 4096 arrangements" in message
+
+
+def test_split_rung_copy_sees_one_point_per_top():
+    """Copy p%1 of a split rung sees two chevron tops, so the profile check
+    refuses the output when ``split`` says it serves one top, and accepts it
+    when ``split`` says two."""
+    base = validate_poset(["r", "p", "t"], [("r", "p"), ("p", "t")])
+    output = validate_poset(
+        ["r", "p%1", "p%2", "a", "b", "c"],
+        [("r", "p%1"), ("r", "p%2"), ("p%1", "a"), ("p%1", "b"), ("p%2", "c")],
+    )
+    mapping = {"r": "r", "p%1": "p", "p%2": "p", "a": "t", "b": "t", "c": "t"}
+    result = ConstructionResult(output, pn.PMorphism(output, base, frozenset(mapping), mapping))
+    assert pn.is_up_reduction(result.witness)
+    _verify_nervify_profiles(result, base, ["a", "b", "c"], {"p%1": 2, "p%2": 1})
+    with pytest.raises(ConstructionPostconditionFailed, match=r"'p%1' has profile 1\^2, expected 1$"):
+        _verify_nervify_profiles(result, base, ["a", "b", "c"], {"p%1": 1, "p%2": 1})
 
 
 # -- the full pipeline ----------------------------------------------------------------------

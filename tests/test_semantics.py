@@ -97,6 +97,9 @@ def test_validates_bd_examples():
     assert pn.validates_bd(chain3, 3)
     assert pn.validates_bd(validate_poset(["x"], []), 1)
     assert not pn.validates_bd(validate_poset(["x"], []), 0)
+    # the forbidden chain is capped at one element more than the frame
+    assert pn.validates_bd(chain3, 10**9)
+    assert pn.validates_bd(validate_poset([], []), 10**9)
 
 
 def test_validates_bd_cross_agreement_on_samples():

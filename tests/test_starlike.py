@@ -72,6 +72,19 @@ def test_partition_oracle_agreement():
             assert pn.has_alpha_partition(poset, alpha) == brute_has_alpha_partition(
                 poset, alpha
             ), (poset.to_json(), alpha.text())
+            # each strict upset, through the cached per-element types
+            for i, lab in enumerate(poset.labels):
+                above = poset.restrict(pn.strict_up(poset, lab))
+                assert alpha.splits(poset.strict_up_contypes[i]) == brute_has_alpha_partition(
+                    above, alpha
+                ), (poset.to_json(), lab, alpha.text())
+            blocks = pn.alpha_partition(poset, alpha)
+            if blocks is not None:
+                assert len(blocks) == alpha.size and all(blocks)
+                assert sorted(x for b in blocks for x in b) == sorted(poset.labels)
+                for block, demand in zip(blocks, alpha.heights):
+                    assert all(pn.up_set(poset, x) <= block for x in block)  # open
+                    assert pn.height(poset.restrict(block)) + 1 >= demand
 
 
 # -- connectedness -----------------------------------------------------------------
