@@ -168,23 +168,33 @@ def parse_formula(text: str) -> Formula:
     return result
 
 
-# precedence levels: -> 1, | 2, & 3, ~ 4, atoms 5
+# precedence levels: -> 1, | 2, & 3, ~ 4, atoms 5. Runs of ~ and the left
+# spines of | and & chains are walked in loops, so their length costs no
+# recursion depth.
 def _render(phi: Formula, level: int) -> str:
+    negations = 0
+    while isinstance(phi, Imp) and phi.right == FALSE:
+        negations += 1
+        phi = phi.left
+    if negations:
+        return "~" * negations + _render(phi, 4)
     if isinstance(phi, Var):
         return phi.name
     if isinstance(phi, Const):
         return "T" if phi.value else "F"
-    if isinstance(phi, Imp) and phi.right == FALSE:
-        return "~" + _render(phi.left, 4)
     if isinstance(phi, Imp):
         text = _render(phi.left, 2) + "->" + _render(phi.right, 1)
         return f"({text})" if level > 1 else text
-    if isinstance(phi, Or):
-        text = _render(phi.left, 2) + "|" + _render(phi.right, 3)
-        return f"({text})" if level > 2 else text
-    if isinstance(phi, And):
-        text = _render(phi.left, 3) + "&" + _render(phi.right, 4)
-        return f"({text})" if level > 3 else text
+    if isinstance(phi, (Or, And)):
+        kind = type(phi)
+        op, own = ("|", 2) if kind is Or else ("&", 3)
+        rights = []
+        while isinstance(phi, kind):
+            rights.append(phi.right)
+            phi = phi.left
+        terms = [_render(phi, own)] + [_render(r, own + 1) for r in reversed(rights)]
+        text = op.join(terms)
+        return f"({text})" if level > own else text
     raise TypeError(f"not a formula: {phi!r}")
 
 

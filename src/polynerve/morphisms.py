@@ -16,7 +16,7 @@ from .errors import (
     TargetNotRooted,
     UnknownElement,
 )
-from .posets import FinitePoset
+from .posets import FinitePoset, _bits
 from .signatures import Signature
 from .starlike import alpha_blocks, starlike_tree
 
@@ -181,7 +181,7 @@ def find_up_reduction(
     mapping = {poset.labels[apex]: root}
     for branch, block in zip(branches, blocks):
         h = len(branch)
-        for y in _mask_bits(block):
+        for y in _bits(block):
             mapping[poset.labels[y]] = target.labels[branch[h - 1 - min(poset.depths[y], h - 1)]]
     witness = PMorphism(poset, target, frozenset(mapping), mapping)
     if not is_up_reduction(witness):
@@ -210,13 +210,13 @@ def _search_up_reduction(
         if poset.heights and target.heights:
             if max(
                 poset.heights[j]
-                for j in _mask_bits(poset.up_mask(apex))
+                for j in _bits(poset.up_mask(apex))
             ) - poset.heights[apex] < max(target.heights):
                 continue  # not enough height above the apex
         domain_bits = [
             i
             for i in sorted(
-                _mask_bits(poset.up_mask(apex)),
+                _bits(poset.up_mask(apex)),
                 key=lambda i: (-poset.heights[i], i),
             )
         ]
@@ -273,13 +273,6 @@ def _search_up_reduction(
                 raise RuntimeError("internal error: search returned a bad witness")
             return witness
     return None
-
-
-def _mask_bits(mask: int):
-    while mask:
-        b = mask & -mask
-        mask ^= b
-        yield b.bit_length() - 1
 
 
 def validates_jankov(poset: FinitePoset, target: FinitePoset, budget: int = SEARCH_BUDGET) -> bool:
@@ -373,7 +366,7 @@ def are_isomorphic(
             continue
         f = [right.index(c) for c in left]
         if all(
-            sum(1 << f[k] for k in _mask_bits(poset.up_mask(i))) == other.up_mask(f[i])
+            sum(1 << f[k] for k in _bits(poset.up_mask(i))) == other.up_mask(f[i])
             for i in range(poset.n)
         ):
             return {poset.labels[i]: other.labels[j] for i, j in enumerate(f)}

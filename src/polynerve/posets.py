@@ -284,10 +284,6 @@ class FinitePoset:
             for j in _bits(self.strict_up_mask(i))
         )
 
-    @cached_property
-    def completion(self) -> "FinitePoset":
-        return check_completion(self)
-
     # -- chains ---------------------------------------------------------------------
 
     def count_chains(self) -> int:

@@ -62,13 +62,17 @@ def is_alpha_connected(poset: FinitePoset, alpha: Signature) -> bool:
 
 def is_alpha_diamond_connected(poset: FinitePoset, alpha: Signature) -> bool:
     """No pair x < y in the completion (the poset plus a synthetic top) has
-    an alpha-partition of its strict diamond. Pairs ending at the synthetic
-    top contribute the strict upsets of the original poset."""
-    return not any(map(alpha.splits, poset.completion.diamond_contypes))
+    an alpha-partition of its strict diamond. The completion is not built: a
+    pair ending at the synthetic top has the strict upset of x as its strict
+    diamond, and every other pair is a pair of the poset itself."""
+    return is_alpha_connected(poset, alpha) and not any(map(alpha.splits, poset.diamond_contypes))
 
 
 def is_alpha_nerve_connected(poset: FinitePoset, alpha: Signature) -> bool:
-    return is_alpha_connected(poset, alpha) and is_alpha_diamond_connected(poset, alpha)
+    """Alpha-nerve-connectedness, the Nerve Criterion's condition. It is
+    diamond-connectedness in the completion, whose strict diamonds include
+    the strict upsets, so it implies alpha-connectedness."""
+    return is_alpha_diamond_connected(poset, alpha)
 
 
 def nerve_validates_starlike(poset: FinitePoset, alpha: Signature) -> bool:

@@ -3,9 +3,10 @@ naive brute-force oracles that the fast implementations are tested against.
 The brute-force oracles only ever use itertools-style enumeration, never the
 package's own machinery beyond basic order lookups. The replaced algorithms
 kept as differential oracles (backtracking_isomorphism, stellar_subdivision,
-all_pairs_check_complex, naive_counter_valuation) reuse the package
-primitives they were built on: elementary stellar moves, the exact-LP
-intersection test and the upset listing."""
+all_pairs_check_complex, naive_counter_valuation, completion_diamond_connected,
+completion_nerve_connected) reuse the package primitives they were built on:
+elementary stellar moves, the exact-LP intersection test, the upset listing
+and the completion with a synthetic top."""
 from __future__ import annotations
 
 import random
@@ -13,7 +14,14 @@ from itertools import chain, combinations, product
 
 import pytest
 
-from polynerve import FinitePoset, Signature, elementary_stellar, validate_poset
+from polynerve import (
+    FinitePoset,
+    Signature,
+    check_completion,
+    elementary_stellar,
+    is_alpha_connected,
+    validate_poset,
+)
 from polynerve.errors import BadIntersection, NotDownwardClosed, SizeBudgetExceeded
 from polynerve.formulas import And, Const, Imp, Or, Var
 from polynerve.geometry import _intersection_is_common_face
@@ -220,6 +228,16 @@ def brute_has_alpha_partition(poset: FinitePoset, alpha: Signature) -> bool:
         if ok:
             return True
     return False
+
+
+def completion_diamond_connected(poset: FinitePoset, alpha: Signature) -> bool:
+    """Diamond-connectedness as first defined: no strict diamond of the
+    materialised completion (the poset plus a top labelled "inf") splits."""
+    return not any(map(alpha.splits, check_completion(poset).diamond_contypes))
+
+
+def completion_nerve_connected(poset: FinitePoset, alpha: Signature) -> bool:
+    return is_alpha_connected(poset, alpha) and completion_diamond_connected(poset, alpha)
 
 
 def brute_upsets(poset: FinitePoset):

@@ -79,6 +79,14 @@ def test_witness_verb(capsys, theta_file):
     assert pn.is_graded(output) is not None
 
 
+def test_witness_verb_on_a_frame_labelled_inf(capsys, tmp_path):
+    path = tmp_path / "F.json"
+    path.write_text('{"elements":["inf","a","b"],"edges":[["inf","a"],["inf","b"]]}')
+    code, out, _ = run(capsys, ["witness", "-i", str(path), "--lambda", "2.1"])
+    assert code == 0
+    assert json.loads(out)["witness"]["map"]
+
+
 def test_gradify_and_nervify_verbs(capsys, tmp_path, two_track_frame):
     path = tmp_path / "F8.json"
     path.write_text(two_track_frame.to_json())

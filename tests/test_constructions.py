@@ -1,11 +1,16 @@
 import json
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
 import polynerve as pn
 from polynerve import Signature, validate_poset
-from polynerve.constructions import ConstructionResult, _verify_nervify_profiles
+from polynerve.constructions import (
+    ConstructionResult,
+    _sample_ample_signatures,
+    _verify_nervify_profiles,
+)
 from polynerve.errors import (
     ConstructionPostconditionFailed,
     NotGraded,
@@ -178,11 +183,27 @@ def test_nervify_makes_diamonds_unsplittable(double_chain):
         n = pn.height(poset)
         for alpha in [S("1^3"), S("2.1"), S("2^2"), S("3.1")]:
             assert _diamond_connected_plain(result.output, alpha)
+        assert all(len(ct) <= 1 or ct == (1, 1) for ct in result.output.diamond_contypes)
         # strict-upset types survive on the tree part, so validity does too
         for alpha in [S("2.1"), S("1^3"), S("2^2")]:
             assert pn.is_alpha_connected(result.output, alpha) == pn.is_alpha_connected(
                 poset, alpha
             )
+
+
+def test_sampled_signatures_split_every_forbidden_diamond_shape():
+    # nervify's signature-free verifier relies on this to keep strict
+    # diamonds connected or two-point antichains
+    shapes = [
+        ct
+        for k in range(2, 6)
+        for ct in combinations_with_replacement(range(4, 0, -1), k)
+        if ct != (1, 1)
+    ]
+    for n in range(1, 9):
+        sample = _sample_ample_signatures(n)
+        for ct in shapes:
+            assert any(alpha.splits(ct) for alpha in sample), (n, ct)
 
 
 def layered_frame(spec):

@@ -31,6 +31,18 @@ def test_print_round_trip_examples():
         assert print_formula(parse_formula(text)) == text
 
 
+def test_long_chains_print_without_recursion():
+    for op in "|&":
+        text = op.join(["p"] * 1200)
+        phi = parse_formula(text)
+        assert print_formula(phi) == text
+        assert str(phi) == text
+    phi = Var("p")
+    for _ in range(1200):
+        phi = Neg(phi)
+    assert print_formula(phi) == "~" * 1200 + "p"
+
+
 def test_negation_resugars():
     assert print_formula(Imp(Var("p"), FALSE)) == "~p"
     assert print_formula(Neg(And(Var("a"), Var("b")))) == "~(a&b)"

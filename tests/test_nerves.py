@@ -98,6 +98,14 @@ def test_nerve_alpha_connected_agrees_with_materialised_nerve():
             )
 
 
+def test_nerve_chain_walk_budget():
+    chain = make_chain(12)  # 4095 nonempty chains
+    assert not pn.nerve_is_alpha_connected(chain, S("2"), budget=1)
+    with pytest.raises(SizeBudgetExceeded):
+        pn.nerve_is_alpha_connected(chain, S("1^3"), budget=4094)
+    assert pn.nerve_is_alpha_connected(chain, S("1^3"), budget=4095)
+
+
 def test_nerve_labels_nest():
     nrv2 = pn.iterated_nerve(make_chain(2), 2)
     assert "((x0)|(x0|x1))" in nrv2.labels

@@ -9,6 +9,8 @@ from polynerve.randposets import random_rooted_poset
 
 from conftest import (
     brute_has_alpha_partition,
+    completion_diamond_connected,
+    completion_nerve_connected,
     make_antichain,
     make_chain,
     sample_posets,
@@ -109,6 +111,26 @@ def test_nerve_connected_is_both(theta_frame):
     assert not pn.is_alpha_nerve_connected(theta_frame, S("2.1"))
     chain = make_chain(4)
     assert pn.is_alpha_nerve_connected(chain, S("2.1"))
+
+
+def test_diamond_and_nerve_connectedness_match_the_completion():
+    alphas = [S(text) for text in ["e", "1", "2", "1^3", "2.1", "2^2", "3.1"]]
+    posets = [validate_poset([], [])]
+    posets += sample_posets(250, 9, seed=71) + sample_posets(250, 9, seed=73, rooted=True)
+    outcomes = set()
+    for poset in posets:
+        for alpha in alphas:
+            diamond = pn.is_alpha_diamond_connected(poset, alpha)
+            assert diamond == completion_diamond_connected(poset, alpha)
+            assert pn.is_alpha_nerve_connected(poset, alpha) == completion_nerve_connected(poset, alpha)
+            outcomes.add(diamond)
+    assert outcomes == {True, False}
+
+
+def test_nerve_connectedness_on_a_frame_labelled_inf():
+    frame = validate_poset(["inf", "a", "b"], [("inf", "a"), ("inf", "b")])
+    assert pn.is_alpha_nerve_connected(frame, S("2.1"))
+    assert not pn.is_alpha_nerve_connected(frame, S("1^2"))
 
 
 def test_connectedness_equals_forbidden_configuration_validity():
