@@ -127,5 +127,9 @@ class PointOutsideSupport(PolynerveError):
     pass
 
 
+class DimensionMismatch(PolynerveError, ValueError):
+    """A point's coordinate count differs from the ambient dimension."""
+
+
 class NotUpwardClosed(PolynerveError):
     pass

@@ -18,6 +18,7 @@ from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 from .errors import (
     AffineDependence,
     BadIntersection,
+    DimensionMismatch,
     MalformedInput,
     NotDownwardClosed,
     NotUpwardClosed,
@@ -66,7 +67,16 @@ class Simplex:
         # affine independence: the homogenised vertex matrix has full rank
         mat = [list(v) + [Fraction(1)] for v in verts]
         if rank_exact(mat) != len(verts):
-            raise AffineDependence(f"vertices are affinely dependent: {verts}")
+            raise AffineDependence(f"vertices are affinely dependent: {self.label()}")
+
+    @classmethod
+    def _trusted(cls, vertices: Iterable[RationalPoint]) -> "Simplex":
+        """A simplex on Fraction vertices already known to be distinct and
+        affinely independent: sorted, but neither normalised nor rank-checked.
+        For internal constructions only, never for outside input."""
+        simplex = object.__new__(cls)
+        object.__setattr__(simplex, "vertices", tuple(sorted(vertices)))
+        return simplex
 
     @property
     def dim(self) -> int:
@@ -88,7 +98,7 @@ class Simplex:
         out = []
         k = len(self.vertices)
         for mask in range(1, 1 << k):
-            out.append(Simplex(tuple(self.vertices[i] for i in range(k) if mask >> i & 1)))
+            out.append(Simplex._trusted(self.vertices[i] for i in range(k) if mask >> i & 1))
         return out
 
     def is_face_of(self, other: "Simplex") -> bool:
@@ -102,6 +112,10 @@ class Simplex:
         """Coefficients of the point over the vertices (summing to one), or
         None when the point is outside the affine span."""
         point = rational_point(point)
+        if len(point) != self.ambient_dim:
+            raise DimensionMismatch(
+                f"a point of Q^{len(point)} tested against a simplex in Q^{self.ambient_dim}"
+            )
         matrix = [[v[r] for v in self.vertices] for r in range(self.ambient_dim)]
         matrix.append([Fraction(1)] * len(self.vertices))
         rhs = list(point) + [Fraction(1)]
@@ -318,18 +332,28 @@ def open_star(complex_: RationalComplex, simplex: Simplex) -> FrozenSet[Simplex]
 
 def elementary_stellar(complex_: RationalComplex, point: Sequence) -> RationalComplex:
     """Split every simplex containing the point by coning its unaffected
-    faces to the point. Identity exactly when the point is a vertex."""
+    faces to the point. Identity exactly when the point is a vertex.
+
+    One solve per simplex: a face of s holds the point exactly when it holds
+    the point's support (its positive coordinates) in s. A face missing the
+    point misses its affine span too, as aff(face) ∩ s = face, so the cone
+    is a simplex."""
     point = rational_point(point)
-    carrier(complex_, point)  # raises PointOutsideSupport when outside
     new_simplices: Set[Simplex] = set()
+    inside = False
     for s in complex_.simplices:
-        if not s.contains(point):
+        coords = s.barycentric_coords(point)
+        if coords is None or min(coords) < 0:
             new_simplices.add(s)
             continue
+        inside = True
+        support = {v for v, c in zip(s.vertices, coords) if c > 0}
         for face in s.faces():
-            if not face.contains(point):
-                new_simplices.add(Simplex(face.vertices + (point,)))
-    new_simplices.add(Simplex((point,)))
+            if not support <= face.vertex_set:
+                new_simplices.add(Simplex._trusted(face.vertices + (point,)))
+    if not inside:
+        raise PointOutsideSupport(f"{point} lies outside the support")
+    new_simplices.add(Simplex._trusted((point,)))
     return RationalComplex(new_simplices, _trusted=True)
 
 
@@ -352,7 +376,7 @@ def barycentric_subdivision(
     centres = [s.barycentre() for s in complex_.sorted_simplices]
     flags = faces.iter_chain_masks(budget=budget)
     return RationalComplex(
-        (Simplex(tuple(centres[i] for i in _bits(mask))) for mask in flags), _trusted=True
+        (Simplex._trusted(centres[i] for i in _bits(mask)) for mask in flags), _trusted=True
     )
 
 
@@ -414,47 +438,54 @@ def elementary_farey(complex_: RationalComplex, simplex: Simplex) -> RationalCom
 # -- refinement --------------------------------------------------------------------
 
 
-def _chart_volume(simplex: Simplex, piece: Simplex) -> Fraction:
-    """Volume of a full-dimensional sub-simplex in the barycentric chart of
-    its host, normalised so the host has volume 1."""
-    coords = [simplex.barycentric_coords(v) for v in piece.vertices]
-    base = coords[0]
-    mat = [
-        [coords[i + 1][r] - base[r] for i in range(len(coords) - 1)]
-        for r in range(1, len(base))
-    ]
-    return abs(determinant(mat))
-
-
 def is_refinement(finer: RationalComplex, coarser: RationalComplex) -> bool:
     """Whether ``finer`` subdivides ``coarser``: same support, every fine
     simplex inside some coarse one. The support equality is checked per
     coarse simplex by exact volume bookkeeping of the pieces it contains
-    (their interiors are disjoint, so covering is a volume identity)."""
+    (their interiors are disjoint, so covering is a volume identity).
+
+    Each fine vertex is solved once, against the first maximal coarse
+    simplex holding it, for its carrier and its coordinates there. Carriers
+    are unique and the coarse side is downward closed, so a piece lies in a
+    coarse simplex exactly when the union of its vertices' carriers is one,
+    and its chart volume there is the determinant of the tabulated
+    coordinates, zero off each carrier."""
     if not finer.simplices and not coarser.simplices:
         return True
     if not finer.simplices or not coarser.simplices:
         return False
     if finer.ambient_dim != coarser.ambient_dim:
         return False
+    tops = coarser.maximal_simplices()
+    chart = {}  # fine vertex -> {carrier vertex: its positive coordinate}
+    for v in finer.vertices:
+        for top in tops:
+            coords = top.barycentric_coords(v)
+            if coords is not None and min(coords) >= 0:
+                chart[v] = {w: c for w, c in zip(top.vertices, coords) if c > 0}
+                break
+        else:
+            return False
+    volume = {s.vertex_set: Fraction(0) for s in coarser.simplices}  # per host
+    span = {}  # fine simplex -> vertex set of the coarse simplex it spans
     for piece in finer.simplices:
-        if not any(
-            all(host.contains(v) for v in piece.vertices) for host in coarser.simplices
-        ):
+        union = frozenset().union(*(chart[v] for v in piece.vertices))
+        if union not in volume:
             return False
+        span[piece] = union
+        if len(union) == len(piece.vertices):
+            matrix = [[chart[v].get(w, 0) for w in union] for v in piece.vertices]
+            volume[union] += abs(determinant(matrix))
+    if any(total != 1 for total in volume.values()):
+        return False
+    # the barycentre of every host must lie in a fine simplex: it is a fine
+    # vertex, or it lies in a maximal piece spanning a coface of the host
+    fine_tops = finer.maximal_simplices()
     for host in coarser.simplices:
-        pieces = [
-            piece
-            for piece in finer.simplices
-            if piece.dim == host.dim and all(host.contains(v) for v in piece.vertices)
-        ]
-        total = sum((_chart_volume(host, piece) for piece in pieces), Fraction(0))
-        if total != 1:
-            return False
-        # the barycentre must have a carrier on the fine side
-        try:
-            carrier(finer, host.barycentre())
-        except PointOutsideSupport:
+        centre = host.barycentre()
+        if centre not in chart and not any(
+            host.vertex_set <= span[top] and top.contains(centre) for top in fine_tops
+        ):
             return False
     return True
 
@@ -471,7 +502,7 @@ def geometric_realization(poset: FinitePoset, budget: int = SIMPLEX_BUDGET) -> R
     basis = [
         tuple(Fraction(1) if k == i else Fraction(0) for k in range(n)) for i in range(n)
     ]
-    simplices = [Simplex(tuple(basis[i] for i in _bits(mask))) for mask in nrv.chain_masks]
+    simplices = [Simplex._trusted(basis[i] for i in _bits(mask)) for mask in nrv.chain_masks]
     complex_ = RationalComplex(simplices, _trusted=True)
     faces = face_poset(complex_)
     position = {s: i for i, s in enumerate(complex_.sorted_simplices)}

@@ -3,26 +3,39 @@ naive brute-force oracles that the fast implementations are tested against.
 The brute-force oracles only ever use itertools-style enumeration, never the
 package's own machinery beyond basic order lookups. The replaced algorithms
 kept as differential oracles (backtracking_isomorphism, stellar_subdivision,
-all_pairs_check_complex, naive_counter_valuation, completion_diamond_connected,
+all_pairs_check_complex, per_face_stellar, volume_refinement_oracle,
+naive_counter_valuation, completion_diamond_connected,
 completion_nerve_connected) reuse the package primitives they were built on:
-elementary stellar moves, the exact-LP intersection test, the upset listing
-and the completion with a synthetic top."""
+elementary stellar moves, the exact-LP intersection test, carriers and
+barycentric coordinates, the upset listing and the completion with a
+synthetic top."""
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import chain, combinations, product
 
 import pytest
 
 from polynerve import (
     FinitePoset,
+    RationalComplex,
     Signature,
+    Simplex,
+    carrier,
     check_completion,
     elementary_stellar,
     is_alpha_connected,
+    rational_point,
     validate_poset,
 )
-from polynerve.errors import BadIntersection, NotDownwardClosed, SizeBudgetExceeded
+from polynerve.errors import (
+    BadIntersection,
+    NotDownwardClosed,
+    PointOutsideSupport,
+    SizeBudgetExceeded,
+)
+from polynerve.exactla import determinant
 from polynerve.formulas import And, Const, Imp, Or, Var
 from polynerve.geometry import _intersection_is_common_face
 from polynerve.semantics import VALUATION_BUDGET, UpsetAlgebra
@@ -378,6 +391,69 @@ def all_pairs_check_complex(simplices) -> None:
         for t in ordered[i + 1 :]:
             if not _intersection_is_common_face(s, t):
                 raise BadIntersection(f"{s.label()} and {t.label()} do not meet in a common face")
+
+
+def per_face_stellar(complex_, point):
+    """The package's former elementary stellar move: find the carrier first,
+    then test the point against every simplex and, in each simplex holding
+    it, against every face, each test its own exact solve."""
+    point = rational_point(point)
+    carrier(complex_, point)  # raises PointOutsideSupport when outside
+    new_simplices = set()
+    for s in complex_.simplices:
+        if not s.contains(point):
+            new_simplices.add(s)
+            continue
+        for face in s.faces():
+            if not face.contains(point):
+                new_simplices.add(Simplex(face.vertices + (point,)))
+    new_simplices.add(Simplex((point,)))
+    return RationalComplex(new_simplices, _trusted=True)
+
+
+def _chart_volume(simplex, piece) -> Fraction:
+    """Volume of a full-dimensional sub-simplex in the barycentric chart of
+    its host, normalised so the host has volume 1."""
+    coords = [simplex.barycentric_coords(v) for v in piece.vertices]
+    base = coords[0]
+    mat = [
+        [coords[i + 1][r] - base[r] for i in range(len(coords) - 1)]
+        for r in range(1, len(base))
+    ]
+    return abs(determinant(mat))
+
+
+def volume_refinement_oracle(finer, coarser) -> bool:
+    """The package's former is_refinement: every fine simplex inside some
+    coarse one, tested vertex by vertex against every coarse simplex; per
+    coarse simplex, the chart volumes of the same-dimensional pieces inside
+    it sum to one; and the barycentre of every coarse simplex has a carrier
+    on the fine side."""
+    if not finer.simplices and not coarser.simplices:
+        return True
+    if not finer.simplices or not coarser.simplices:
+        return False
+    if finer.ambient_dim != coarser.ambient_dim:
+        return False
+    for piece in finer.simplices:
+        if not any(
+            all(host.contains(v) for v in piece.vertices) for host in coarser.simplices
+        ):
+            return False
+    for host in coarser.simplices:
+        pieces = [
+            piece
+            for piece in finer.simplices
+            if piece.dim == host.dim and all(host.contains(v) for v in piece.vertices)
+        ]
+        total = sum((_chart_volume(host, piece) for piece in pieces), Fraction(0))
+        if total != 1:
+            return False
+        try:
+            carrier(finer, host.barycentre())
+        except PointOutsideSupport:
+            return False
+    return True
 
 
 def naive_evaluate(phi, env, algebra) -> int:

@@ -9,6 +9,7 @@ from polynerve import RationalComplex, Simplex, validate_poset
 from polynerve.errors import (
     AffineDependence,
     BadIntersection,
+    DimensionMismatch,
     NotDownwardClosed,
     NotUpwardClosed,
     PointOutsideSupport,
@@ -16,7 +17,14 @@ from polynerve.errors import (
 )
 from polynerve.exactla import smith_divisors
 
-from conftest import all_pairs_check_complex, brute_chains, sample_posets, stellar_subdivision
+from conftest import (
+    all_pairs_check_complex,
+    brute_chains,
+    per_face_stellar,
+    sample_posets,
+    stellar_subdivision,
+    volume_refinement_oracle,
+)
 
 
 def pt(*coords):
@@ -60,6 +68,8 @@ def test_affine_dependence_rejected():
         Simplex((pt(0, 0), pt(1, 1), pt(2, 2)))
     with pytest.raises(AffineDependence):
         Simplex((pt(0), pt(0)))
+    with pytest.raises(AffineDependence, match=r"dependent: <0,0;1/2,1/2;2,2>$"):
+        Simplex((pt(2, 2), pt(0, 0), pt(Fr(1, 2), Fr(1, 2))))
 
 
 def test_missing_face_rejected():
@@ -160,6 +170,20 @@ def test_carrier_examples(segment, triangle):
         pn.carrier(triangle, (Fr(2), Fr(2)))
 
 
+def test_points_of_another_dimension_are_refused(triangle):
+    tri = next(s for s in triangle.simplices if s.dim == 2)
+    with pytest.raises(DimensionMismatch):
+        tri.contains(pt(0, 0, 5))
+    with pytest.raises(DimensionMismatch):
+        pn.carrier(triangle, pt(0, 0, 5))
+    with pytest.raises(DimensionMismatch):
+        pn.upset_to_open(triangle, [tri]).contains((Fr(1, 4), Fr(1, 4), Fr(7)))
+    with pytest.raises(DimensionMismatch):
+        pn.carrier(triangle, pt(2))
+    with pytest.raises(DimensionMismatch):
+        pn.elementary_stellar(triangle, pt(2))
+
+
 def test_relint_and_open_star(triangle):
     tri = next(s for s in triangle.simplices if s.dim == 2)
     assert pn.relint_contains(tri, (Fr(1, 3), Fr(1, 3)))
@@ -185,9 +209,14 @@ def test_stellar_at_vertex_is_identity(triangle):
     assert pn.elementary_stellar(triangle, (Fr(0), Fr(0))) == triangle
 
 
-def test_stellar_outside_support(triangle):
-    with pytest.raises(PointOutsideSupport):
-        pn.elementary_stellar(triangle, (Fr(5), Fr(5)))
+def test_stellar_outside_support(triangle, tetrahedron):
+    for complex_, point in ((triangle, pt(5, 5)), (tetrahedron, pt(1, 1, -1))):
+        with pytest.raises(PointOutsideSupport) as new:
+            pn.elementary_stellar(complex_, point)
+        # the message is the one the former per-face algorithm gave
+        with pytest.raises(PointOutsideSupport) as old:
+            per_face_stellar(complex_, point)
+        assert str(new.value) == str(old.value)
 
 
 def test_segment_subdivision(segment):
@@ -317,6 +346,72 @@ def test_refinement(triangle, segment):
     # a plainly different support
     other = full_complex(pt(5, 5), pt(6, 5))
     assert not pn.is_refinement(other, triangle)
+
+
+def _random_simplex(rng, dim, ambient):
+    while True:
+        vertices = tuple(
+            tuple(Fr(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(ambient))
+            for _ in range(dim + 1)
+        )
+        try:
+            return Simplex(vertices)
+        except AffineDependence:
+            continue
+
+
+def _point_of(rng, simplex, move):
+    if move == "barycentric":
+        return simplex.barycentre()
+    if move == "farey":
+        return pn.farey_mediant(simplex)
+    weights = [rng.randint(0, 3) for _ in simplex.vertices]
+    weights[rng.randrange(len(weights))] += 1
+    total = sum(weights)
+    return tuple(
+        sum(Fr(w, total) * v[axis] for w, v in zip(weights, simplex.vertices))
+        for axis in range(simplex.ambient_dim)
+    )
+
+
+def _refinement_cases(rng, count):
+    """(finer, coarser) pairs: a random simplex of dimension 0-3 in Q^1-Q^3
+    through 0-3 barycentric, Farey or stellar moves, each move checked
+    against the former per-face algorithm; then three near misses, the moved
+    complex short of one maximal simplex or with a vertex outside the
+    support added, and a foreign simplex."""
+    for _ in range(count):
+        ambient = rng.randint(1, 3)
+        base = pn.validate_complex(_random_simplex(rng, rng.randint(0, ambient), ambient).faces())
+        fine = base
+        for _ in range(rng.randint(0, 3)):
+            move = rng.choice(("barycentric", "farey", "stellar"))
+            point = _point_of(rng, rng.choice(fine.sorted_simplices), move)
+            moved = pn.elementary_stellar(fine, point)
+            assert moved == per_face_stellar(fine, point)
+            fine = moved
+        yield fine, base
+        short = fine.simplices - {rng.choice(fine.maximal_simplices())}
+        yield RationalComplex(short, _trusted=True), base
+        outside = Simplex((pt(*[9] * ambient),))
+        yield RationalComplex(fine.simplices | {outside}, _trusted=True), base
+        foreign = _random_simplex(rng, rng.randint(0, ambient), ambient)
+        yield pn.validate_complex(foreign.faces()), base
+
+
+def test_refinement_matches_volume_oracle(triangle):
+    rng = random.Random(127)
+    edge = full_complex(pt(0, 0), pt(1, 0))
+    crossing = full_complex(pt(-1, -1), pt(2, 2))
+    cases = [(edge, triangle), (crossing, triangle)]
+    cases += _refinement_cases(rng, 200)
+    seen = Counter()
+    for finer, coarser in cases:
+        for a, b in ((finer, coarser), (coarser, finer)):
+            answer = pn.is_refinement(a, b)
+            assert answer == volume_refinement_oracle(a, b)
+            seen[answer] += 1
+    assert seen[True] > 200 and seen[False] > 600
 
 
 # -- realization ---------------------------------------------------------------------------------------
