@@ -1,9 +1,11 @@
 """Exact linear algebra over the rationals and the integers: Gaussian
-elimination, determinants, Smith normal form, and a small two-phase simplex
-for LP feasibility questions. No floating point anywhere."""
+elimination, determinants, Smith normal form, and a small fraction-free
+two-phase simplex for LP feasibility questions. No floating point anywhere."""
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from numbers import Rational
 from typing import List, Optional, Sequence
 
 
@@ -138,83 +140,120 @@ def smith_divisors(matrix: Sequence[Sequence[int]]) -> List[int]:
 
 
 def lp_maximize(
-    a_eq: Sequence[Sequence[Fraction]],
-    b_eq: Sequence[Fraction],
-    objective: Sequence[Fraction],
+    a_eq: Sequence[Sequence[Rational]],
+    b_eq: Sequence[Rational],
+    objective: Sequence[Rational],
 ) -> Optional[Fraction]:
-    """max c.x subject to A x = b, x >= 0, all exact. Returns None when
-    infeasible. The feasible sets used here are always bounded, so no
-    unbounded handling is exposed."""
+    """max c.x subject to A x = b, x >= 0, over ints and Fractions, all
+    exact. Returns None when infeasible. The feasible sets used here are
+    always bounded, so no unbounded handling is exposed.
+
+    Two-phase simplex under Bland's rule, fraction-free: each row (with its
+    right-hand side) and the objective are scaled once to integers, and the
+    tableau is kept as integers over one shared positive denominator, so a
+    pivot is integer arithmetic with one exact division (Bareiss, Math. Comp.
+    22, 1968). Scaling row i by l_i scales its artificial variable by l_i;
+    costing that artificial L / l_i, for L the lcm of the l_i, makes phase 1
+    the unscaled phase 1 with its variables rescaled, which changes no sign
+    and no ratio order, so the pivots are those of plain Fraction pivoting."""
     rows = len(a_eq)
     cols = len(objective)
-    a = [list(map(Fraction, row)) for row in a_eq]
-    b = list(map(Fraction, b_eq))
-    for i in range(rows):
-        if b[i] < 0:
-            a[i] = [-v for v in a[i]]
-            b[i] = -b[i]
+    tableau: List[List[int]] = []
+    scales: List[int] = []
+    for i, (row, rhs) in enumerate(zip(a_eq, b_eq)):
+        entries = [*row, rhs]
+        scale = lcm(*(v.denominator for v in entries))
+        ints = [v.numerator * (scale // v.denominator) for v in entries]
+        if ints[-1] < 0:  # so that the artificial basis starts feasible
+            ints = [-v for v in ints]
+        tableau.append(ints[:-1] + [int(j == i) for j in range(rows)] + ints[-1:])
+        scales.append(scale)
     # phase 1: artificial basis
-    tableau = [a[i] + [Fraction(1) if j == i else Fraction(0) for j in range(rows)] + [b[i]] for i in range(rows)]
     basis = [cols + i for i in range(rows)]
-    cost = [Fraction(0)] * cols + [Fraction(1)] * rows
-    value = _simplex_min(tableau, basis, cost, cols + rows)
-    if value != 0:
+    common = lcm(*scales)
+    cost = [0] * cols + [common // scale for scale in scales]
+    denom = _simplex_min(tableau, basis, cost, cols + rows, 1)
+    if _basic_value(tableau, basis, cost) != 0:
         return None
-    _drive_out_artificials(tableau, basis, cols)
+    denom = _drive_out_artificials(tableau, basis, cols, denom)
     # phase 2 on the original columns; rows still basic in an artificial are
     # redundant zero rows and can be dropped
     keep = [i for i in range(rows) if basis[i] < cols]
     tableau = [tableau[i][:cols] + [tableau[i][-1]] for i in keep]
     basis = [basis[i] for i in keep]
-    cost = [-Fraction(c) for c in objective]  # minimise the negation
-    value = _simplex_min(tableau, basis, cost, cols)
-    return -value
+    scale = lcm(*(c.denominator for c in objective))
+    cost = [-c.numerator * (scale // c.denominator) for c in objective]  # minimise the negation
+    denom = _simplex_min(tableau, basis, cost, cols, denom)
+    return Fraction(-_basic_value(tableau, basis, cost), denom * scale)
 
 
-def _simplex_min(tableau, basis, cost, width) -> Fraction:
+def _basic_value(tableau, basis, cost) -> int:
+    """The objective at the current vertex, times the tableau denominator."""
+    return sum(cost[basis[i]] * tableau[i][-1] for i in range(len(tableau)))
+
+
+def _simplex_min(tableau, basis, cost, width, denom) -> int:
+    """Pivot to an optimum of min cost.x; returns the final denominator.
+    Signs are read off integer numerators, as the denominator is positive."""
     rows = len(tableau)
     while True:
-        # reduced costs under the current basis
-        y = [cost[basis[i]] for i in range(rows)]
+        # reduced costs under the current basis, times the denominator
+        priced = [(cost[basis[i]], tableau[i]) for i in range(rows) if cost[basis[i]]]
+        basic = set(basis)
         entering = None
         for j in range(width):
-            if j in basis:
+            if j in basic:
                 continue
-            reduced = cost[j] - sum(y[i] * tableau[i][j] for i in range(rows))
-            if reduced < 0:
+            if cost[j] * denom < sum(y * row[j] for y, row in priced):
                 entering = j  # Bland: first improving column
                 break
         if entering is None:
-            return sum(cost[basis[i]] * tableau[i][-1] for i in range(rows))
+            return denom
         leaving = None
-        best = None
         for i in range(rows):
             if tableau[i][entering] > 0:
-                ratio = tableau[i][-1] / tableau[i][entering]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
-                    best = ratio
+                if leaving is None:
+                    leaving = i
+                    continue
+                # compare rhs_i / a_i with rhs_l / a_l, both a > 0
+                lhs = tableau[i][-1] * tableau[leaving][entering]
+                rhs = tableau[leaving][-1] * tableau[i][entering]
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
                     leaving = i
         if leaving is None:
             raise ArithmeticError("LP unexpectedly unbounded")
-        _pivot(tableau, leaving, entering)
+        denom = _pivot(tableau, leaving, entering, denom)
         basis[leaving] = entering
 
 
-def _pivot(tableau, row, col) -> None:
-    inv = tableau[row][col]
-    tableau[row] = [v / inv for v in tableau[row]]
-    for i in range(len(tableau)):
-        if i != row and tableau[i][col] != 0:
-            factor = tableau[i][col]
-            tableau[i] = [v - factor * w for v, w in zip(tableau[i], tableau[row])]
+def _pivot(tableau, row, col, denom) -> int:
+    """Fraction-free pivot on tableau[row][col]; returns the new denominator.
+    Every entry is a minor of the scaled input (Cramer's rule), so the
+    division by the old denominator is exact."""
+    pivot_row = tableau[row]
+    p = pivot_row[col]
+    for i, current in enumerate(tableau):
+        if i == row:
+            continue
+        factor = current[col]
+        if factor:
+            tableau[i] = [(v * p - factor * w) // denom for v, w in zip(current, pivot_row)]
+        elif p != denom:
+            tableau[i] = [v * p // denom for v in current]
+    if p < 0:
+        for i, current in enumerate(tableau):
+            tableau[i] = [-v for v in current]
+        p = -p
+    return p
 
 
-def _drive_out_artificials(tableau, basis, cols) -> None:
+def _drive_out_artificials(tableau, basis, cols, denom) -> int:
     rows = len(tableau)
     for i in range(rows):
         if basis[i] >= cols:
             col = next((j for j in range(cols) if tableau[i][j] != 0), None)
             if col is not None:
-                _pivot(tableau, i, col)
+                denom = _pivot(tableau, i, col, denom)
                 basis[i] = col
             # a fully-zero row stays basic in an artificial at level zero
+    return denom

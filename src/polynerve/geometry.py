@@ -86,9 +86,21 @@ class Simplex:
     def ambient_dim(self) -> int:
         return len(self.vertices[0])
 
-    @property
+    @cached_property
     def vertex_set(self) -> FrozenSet[RationalPoint]:
         return frozenset(self.vertices)
+
+    @cached_property
+    def _box(self) -> Tuple[Tuple[Fraction, Fraction], ...]:
+        """The bounding box: (least, greatest) coordinate on each axis."""
+        return tuple((min(axis), max(axis)) for axis in zip(*self.vertices))
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.vertices,))  # the dataclass value: set orders stay as they were
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def label(self) -> str:
         return "<" + ";".join(_format_point(v) for v in self.vertices) + ">"
@@ -175,9 +187,13 @@ class RationalComplex:
     def vertices(self) -> Tuple[RationalPoint, ...]:
         return tuple(sorted({v for s in self.simplices for v in s.vertices}))
 
-    def maximal_simplices(self) -> List[Simplex]:
+    @cached_property
+    def _maximal(self) -> Tuple[Simplex, ...]:
         covered = {facet for t in self.simplices for facet in _facets(t)}
-        return [s for s in self.sorted_simplices if s.vertex_set not in covered]
+        return tuple(s for s in self.sorted_simplices if s.vertex_set not in covered)
+
+    def maximal_simplices(self) -> List[Simplex]:
+        return list(self._maximal)
 
     def __len__(self) -> int:
         return len(self.simplices)
@@ -228,12 +244,10 @@ class RationalComplex:
 
 
 def _bounding_boxes_apart(s: Simplex, t: Simplex) -> bool:
-    for axis in range(s.ambient_dim):
-        s_vals = [v[axis] for v in s.vertices]
-        t_vals = [v[axis] for v in t.vertices]
-        if max(s_vals) < min(t_vals) or max(t_vals) < min(s_vals):
-            return True
-    return False
+    return any(
+        s_max < t_min or t_max < s_min
+        for (s_min, s_max), (t_min, t_max) in zip(s._box, t._box)
+    )
 
 
 def _intersection_is_common_face(s: Simplex, t: Simplex) -> bool:
@@ -242,27 +256,19 @@ def _intersection_is_common_face(s: Simplex, t: Simplex) -> bool:
     Decided by LP: a common point is a pair of convex combinations agreeing
     coordinatewise; the intersection sticks out of the shared face iff some
     such pair puts positive weight on a non-shared vertex."""
-    shared = s.vertex_set & t.vertex_set
     if _bounding_boxes_apart(s, t):
         return True
-    if s.vertex_set <= t.vertex_set or t.vertex_set <= s.vertex_set:
-        return True
+    shared = s.vertex_set & t.vertex_set
+    if len(shared) in (len(s.vertices), len(t.vertices)):
+        return True  # one is a face of the other
     ns, nt = len(s.vertices), len(t.vertices)
-    ambient = s.ambient_dim
-    rows: List[List[Fraction]] = []
-    rhs: List[Fraction] = []
-    for axis in range(ambient):
-        rows.append(
-            [v[axis] for v in s.vertices] + [-w[axis] for w in t.vertices]
-        )
-        rhs.append(Fraction(0))
-    rows.append([Fraction(1)] * ns + [Fraction(0)] * nt)
-    rhs.append(Fraction(1))
-    rows.append([Fraction(0)] * ns + [Fraction(1)] * nt)
-    rhs.append(Fraction(1))
-    objective = [Fraction(0) if v in shared else Fraction(1) for v in s.vertices] + [
-        Fraction(0) if w in shared else Fraction(1) for w in t.vertices
+    rows = [
+        [v[axis] for v in s.vertices] + [-w[axis] for w in t.vertices]
+        for axis in range(s.ambient_dim)
     ]
+    rows += [[1] * ns + [0] * nt, [0] * ns + [1] * nt]
+    rhs = [0] * s.ambient_dim + [1, 1]
+    objective = [int(v not in shared) for v in s.vertices + t.vertices]
     best = lp_maximize(rows, rhs, objective)
     if best is None:
         return True  # disjoint
@@ -317,7 +323,7 @@ def carrier(complex_: RationalComplex, point: Sequence) -> Simplex:
     for s in complex_.sorted_simplices:
         if s.relint_contains(point):
             return s
-    raise PointOutsideSupport(f"{point} lies outside the support")
+    raise PointOutsideSupport(f"{_format_point(point)} lies outside the support")
 
 
 def open_star(complex_: RationalComplex, simplex: Simplex) -> FrozenSet[Simplex]:
@@ -352,7 +358,7 @@ def elementary_stellar(complex_: RationalComplex, point: Sequence) -> RationalCo
             if not support <= face.vertex_set:
                 new_simplices.add(Simplex._trusted(face.vertices + (point,)))
     if not inside:
-        raise PointOutsideSupport(f"{point} lies outside the support")
+        raise PointOutsideSupport(f"{_format_point(point)} lies outside the support")
     new_simplices.add(Simplex._trusted((point,)))
     return RationalComplex(new_simplices, _trusted=True)
 

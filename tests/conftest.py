@@ -4,7 +4,7 @@ The brute-force oracles only ever use itertools-style enumeration, never the
 package's own machinery beyond basic order lookups. The replaced algorithms
 kept as differential oracles (backtracking_isomorphism, stellar_subdivision,
 all_pairs_check_complex, per_face_stellar, volume_refinement_oracle,
-naive_counter_valuation, completion_diamond_connected,
+fraction_lp_maximize, naive_counter_valuation, completion_diamond_connected,
 completion_nerve_connected) reuse the package primitives they were built on:
 elementary stellar moves, the exact-LP intersection test, carriers and
 barycentric coordinates, the upset listing and the completion with a
@@ -454,6 +454,74 @@ def volume_refinement_oracle(finer, coarser) -> bool:
         except PointOutsideSupport:
             return False
     return True
+
+
+def fraction_lp_maximize(a_eq, b_eq, objective):
+    """The package's former exact LP: the same two-phase simplex under
+    Bland's rule, on a tableau of Fractions, each pivot dividing the pivot
+    row through."""
+    rows = len(a_eq)
+    cols = len(objective)
+    a = [list(map(Fraction, row)) for row in a_eq]
+    b = list(map(Fraction, b_eq))
+    for i in range(rows):
+        if b[i] < 0:
+            a[i] = [-v for v in a[i]]
+            b[i] = -b[i]
+    tableau = [a[i] + [Fraction(1) if j == i else Fraction(0) for j in range(rows)] + [b[i]] for i in range(rows)]
+    basis = [cols + i for i in range(rows)]
+    cost = [Fraction(0)] * cols + [Fraction(1)] * rows
+    value = _fraction_simplex_min(tableau, basis, cost, cols + rows)
+    if value != 0:
+        return None
+    for i in range(rows):  # drive the artificials out of the basis
+        if basis[i] >= cols:
+            col = next((j for j in range(cols) if tableau[i][j] != 0), None)
+            if col is not None:
+                _fraction_pivot(tableau, i, col)
+                basis[i] = col
+    keep = [i for i in range(rows) if basis[i] < cols]
+    tableau = [tableau[i][:cols] + [tableau[i][-1]] for i in keep]
+    basis = [basis[i] for i in keep]
+    cost = [-Fraction(c) for c in objective]
+    return -_fraction_simplex_min(tableau, basis, cost, cols)
+
+
+def _fraction_simplex_min(tableau, basis, cost, width):
+    rows = len(tableau)
+    while True:
+        y = [cost[basis[i]] for i in range(rows)]
+        entering = None
+        for j in range(width):
+            if j in basis:
+                continue
+            reduced = cost[j] - sum(y[i] * tableau[i][j] for i in range(rows))
+            if reduced < 0:
+                entering = j
+                break
+        if entering is None:
+            return sum(cost[basis[i]] * tableau[i][-1] for i in range(rows))
+        leaving = None
+        best = None
+        for i in range(rows):
+            if tableau[i][entering] > 0:
+                ratio = tableau[i][-1] / tableau[i][entering]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
+                    best = ratio
+                    leaving = i
+        if leaving is None:
+            raise ArithmeticError("LP unexpectedly unbounded")
+        _fraction_pivot(tableau, leaving, entering)
+        basis[leaving] = entering
+
+
+def _fraction_pivot(tableau, row, col) -> None:
+    inv = tableau[row][col]
+    tableau[row] = [v / inv for v in tableau[row]]
+    for i in range(len(tableau)):
+        if i != row and tableau[i][col] != 0:
+            factor = tableau[i][col]
+            tableau[i] = [v - factor * w for v, w in zip(tableau[i], tableau[row])]
 
 
 def naive_evaluate(phi, env, algebra) -> int:

@@ -15,11 +15,14 @@ from polynerve.errors import (
     PointOutsideSupport,
     SizeBudgetExceeded,
 )
-from polynerve.exactla import smith_divisors
+from polynerve import exactla, geometry
+from polynerve.exactla import lp_maximize, smith_divisors
 
+import conftest
 from conftest import (
     all_pairs_check_complex,
     brute_chains,
+    fraction_lp_maximize,
     per_face_stellar,
     sample_posets,
     stellar_subdivision,
@@ -151,6 +154,21 @@ def test_face_poset_and_maximal_simplices_follow_the_face_relation(triangle, tet
         ]
 
 
+def test_simplex_caches_keep_value_semantics(triangle):
+    vertices = (pt(1, 0), pt(0, 0), pt(0, 1))
+    checked, trusted = Simplex(vertices), Simplex._trusted(vertices)
+    assert checked == trusted and hash(checked) == hash(trusted)
+    assert checked.vertex_set == trusted.vertex_set == frozenset(vertices)
+    assert trusted in {checked} and checked in {trusted}
+    assert {checked: "found"}[trusted] == "found" == {trusted: "found"}[checked]
+    assert len({checked, trusted, Simplex(vertices[::-1])}) == 1
+    tops = triangle.maximal_simplices()
+    expected = list(tops)
+    tops.append(Simplex((pt(7, 7),)))
+    tops.pop(0)
+    assert triangle.maximal_simplices() == expected
+
+
 # -- carriers and stars ------------------------------------------------------------------
 
 
@@ -210,9 +228,15 @@ def test_stellar_at_vertex_is_identity(triangle):
 
 
 def test_stellar_outside_support(triangle, tetrahedron):
-    for complex_, point in ((triangle, pt(5, 5)), (tetrahedron, pt(1, 1, -1))):
+    cases = (
+        (triangle, pt(5, 5), "5,5"),
+        (tetrahedron, pt(1, 1, -1), "1,1,-1"),
+        (tetrahedron, pt(1, Fr(1, 2), -1), "1,1/2,-1"),
+    )
+    for complex_, point, shown in cases:
         with pytest.raises(PointOutsideSupport) as new:
             pn.elementary_stellar(complex_, point)
+        assert str(new.value) == f"{shown} lies outside the support"
         # the message is the one the former per-face algorithm gave
         with pytest.raises(PointOutsideSupport) as old:
             per_face_stellar(complex_, point)
@@ -309,6 +333,90 @@ def test_smith_divisors_basics():
     assert smith_divisors([[1, 0], [0, 1]]) == [1, 1]
     assert smith_divisors([[2, 0], [0, 3]]) == [1, 6]
     assert smith_divisors([[2, 4], [4, 8]]) == [2]
+
+
+def _random_lp(rng):
+    """A seeded LP over Q with fractional entries, right-hand sides of both
+    signs and a fractional objective, bounded by a row of positive weights.
+    Some get a rescaled copy of a row, redundant, so an artificial stays
+    basic at level zero; some get that bounding row with a negative total,
+    and so are infeasible."""
+    def entry():
+        return Fr(rng.randint(-6, 6), rng.randint(1, 4))
+
+    cols = rng.randint(1, 5)
+    a_eq = [[entry() for _ in range(cols)] for _ in range(rng.randint(0, 3))]
+    b_eq = [entry() for _ in a_eq]
+    a_eq.append([Fr(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(cols)])
+    b_eq.append(Fr(rng.randint(0, 5), rng.randint(1, 3)))
+    kind = rng.random()
+    if kind < 0.3:
+        i = rng.randrange(len(a_eq))
+        factor = Fr(rng.choice((-3, -1, 2, 5)), rng.randint(1, 3))
+        a_eq.insert(0, [factor * v for v in a_eq[i]])
+        b_eq.insert(0, factor * b_eq[i])
+    elif kind < 0.4:
+        b_eq[-1] = -1 - b_eq[-1]
+    return a_eq, b_eq, [entry() for _ in range(cols)]
+
+
+def _recording(pivots, pivot):
+    def wrapped(tableau, row, col, *denominator):
+        pivots.append((row, col))
+        return pivot(tableau, row, col, *denominator)
+
+    return wrapped
+
+
+def test_lp_matches_fraction_oracle(monkeypatch):
+    # equal answers, and the integer tableau pivots where the Fraction one does
+    new_pivots, old_pivots = [], []
+    monkeypatch.setattr(exactla, "_pivot", _recording(new_pivots, exactla._pivot))
+    monkeypatch.setattr(conftest, "_fraction_pivot", _recording(old_pivots, conftest._fraction_pivot))
+    rng = random.Random(139)
+    seen = Counter()
+    for _ in range(1500):
+        a_eq, b_eq, objective = _random_lp(rng)
+        answer = lp_maximize(a_eq, b_eq, objective)
+        assert answer == fraction_lp_maximize(a_eq, b_eq, objective)
+        assert new_pivots == old_pivots
+        new_pivots.clear()
+        old_pivots.clear()
+        seen["infeasible" if answer is None else "feasible"] += 1
+    assert seen["feasible"] > 200 and seen["infeasible"] > 200
+    # an artificial that phase 1 leaves basic at level zero, on a redundant
+    # row and on one whose drive-out pivot is negative
+    assert lp_maximize([[1, 1], [2, 2]], [1, 2], [1, 0]) == 1
+    assert lp_maximize([[0, -2], [1, 1]], [0, 1], [1, 0]) == 1
+    assert lp_maximize([[1, 1], [1, 1]], [1, 2], [1, 0]) is None
+
+
+def _stellar_chain(rng, complex_, moves):
+    chain = [complex_]
+    for _ in range(moves):
+        move = rng.choice(("farey", "stellar"))
+        point = _point_of(rng, rng.choice(chain[-1].sorted_simplices), move)
+        chain.append(pn.elementary_stellar(chain[-1], point))
+    return chain
+
+
+def test_intersection_test_matches_fraction_lp(monkeypatch, triangle, tetrahedron):
+    # maximal simplices within one complex of a seeded Farey/stellar chain
+    # meet properly; across two chains on the same base they often do not
+    rng = random.Random(149)
+    pairs = []
+    for base, moves in ((triangle, 8),) * 3 + ((tetrahedron, 4),) * 2:
+        first, second = _stellar_chain(rng, base, moves), _stellar_chain(rng, base, moves)
+        for complex_ in first + second:
+            tops = complex_.maximal_simplices()
+            pairs += [(s, t) for i, s in enumerate(tops) for t in tops[i + 1 :]]
+        pairs += [
+            (s, t) for s in first[-1].maximal_simplices() for t in second[-1].maximal_simplices()
+        ]
+    answers = [geometry._intersection_is_common_face(s, t) for s, t in pairs]
+    monkeypatch.setattr(geometry, "lp_maximize", fraction_lp_maximize)
+    assert answers == [geometry._intersection_is_common_face(s, t) for s, t in pairs]
+    assert answers.count(True) > 800 and answers.count(False) > 100
 
 
 def test_farey_preserves_unimodularity(triangle):
