@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import (
     AffineDependence,
@@ -23,12 +23,14 @@ from .errors import (
     NotDownwardClosed,
     NotUpwardClosed,
     PointOutsideSupport,
+    PreconditionViolated,
     SizeBudgetExceeded,
     UnknownElement,
 )
 from .exactla import determinant, lp_maximize, rank_exact, smith_divisors, solve_exact
 from .nerves import nerve
 from .posets import FinitePoset, _bits, poset_from_cover_dag
+from .semantics import UpsetAlgebra
 
 RationalPoint = Tuple[Fraction, ...]
 
@@ -107,11 +109,8 @@ class Simplex:
 
     def faces(self) -> List["Simplex"]:
         """Every nonempty sub-simplex, self included."""
-        out = []
         k = len(self.vertices)
-        for mask in range(1, 1 << k):
-            out.append(Simplex._trusted(self.vertices[i] for i in range(k) if mask >> i & 1))
-        return out
+        return [Simplex._trusted(self.vertices[i] for i in _bits(mask)) for mask in range(1, 1 << k)]
 
     def is_face_of(self, other: "Simplex") -> bool:
         return self.vertex_set <= other.vertex_set
@@ -167,10 +166,8 @@ class RationalComplex:
 
     def __init__(self, simplices: Iterable[Simplex], _trusted: bool = False):
         simplices = frozenset(simplices)
-        if simplices:
-            dims = {s.ambient_dim for s in simplices}
-            if len(dims) != 1:
-                raise ValueError("simplices must share an ambient space")
+        if len({s.ambient_dim for s in simplices}) > 1:
+            raise ValueError("simplices must share an ambient space")
         self.simplices = simplices
         if not _trusted:
             _check_complex(self)
@@ -195,6 +192,19 @@ class RationalComplex:
     def maximal_simplices(self) -> List[Simplex]:
         return list(self._maximal)
 
+    @cached_property
+    def _index(self) -> Dict[FrozenSet[RationalPoint], int]:
+        """Vertex set -> position in sorted_simplices, i.e. in the face poset."""
+        return {s.vertex_set: i for i, s in enumerate(self.sorted_simplices)}
+
+    @cached_property
+    def _face_poset(self) -> FinitePoset:
+        covers: List[List[int]] = [[] for _ in self.sorted_simplices]
+        for j, t in enumerate(self.sorted_simplices):
+            for facet in _facets(t):
+                covers[self._index[facet]].append(j)
+        return poset_from_cover_dag([s.label() for s in self.sorted_simplices], covers)
+
     def __len__(self) -> int:
         return len(self.simplices)
 
@@ -218,9 +228,7 @@ class RationalComplex:
         payload = {
             "dim": self.ambient_dim,
             "vertices": [[[c.numerator, c.denominator] for c in v] for v in verts],
-            "simplices": [
-                sorted(index[v] for v in s.vertices) for s in self.maximal_simplices()
-            ],
+            "simplices": [sorted(index[v] for v in s.vertices) for s in self._maximal],
         }
         return json.dumps(payload, sort_keys=True)
 
@@ -237,10 +245,7 @@ class RationalComplex:
             tops = [Simplex(tuple(verts[i] for i in ix)) for ix in payload["simplices"]]
         except (KeyError, TypeError, ZeroDivisionError) as exc:
             raise MalformedInput(f"malformed complex JSON: {exc!r}") from exc
-        closed: Set[Simplex] = set()
-        for s in tops:
-            closed.update(s.faces())
-        return validate_complex(closed)
+        return validate_complex({face for s in tops for face in s.faces()})
 
 
 def _bounding_boxes_apart(s: Simplex, t: Simplex) -> bool:
@@ -262,10 +267,7 @@ def _intersection_is_common_face(s: Simplex, t: Simplex) -> bool:
     if len(shared) in (len(s.vertices), len(t.vertices)):
         return True  # one is a face of the other
     ns, nt = len(s.vertices), len(t.vertices)
-    rows = [
-        [v[axis] for v in s.vertices] + [-w[axis] for w in t.vertices]
-        for axis in range(s.ambient_dim)
-    ]
+    rows = [[v[x] for v in s.vertices] + [-w[x] for w in t.vertices] for x in range(s.ambient_dim)]
     rows += [[1] * ns + [0] * nt, [0] * ns + [1] * nt]
     rhs = [0] * s.ambient_dim + [1, 1]
     objective = [int(v not in shared) for v in s.vertices + t.vertices]
@@ -278,10 +280,9 @@ def _intersection_is_common_face(s: Simplex, t: Simplex) -> bool:
 
 
 def _check_complex(complex_: RationalComplex) -> None:
-    present = {s.vertex_set for s in complex_.simplices}
     for s in complex_.simplices:
         for facet in _facets(s):
-            if facet not in present:
+            if facet not in complex_._index:
                 raise NotDownwardClosed(
                     f"face {Simplex(tuple(facet)).label()} of {s.label()} is missing"
                 )
@@ -289,13 +290,11 @@ def _check_complex(complex_: RationalComplex) -> None:
     # Then maximal pairs suffice: faces S' of S and T' of T meet inside S ∩ T,
     # which is the common face on the shared vertices, and inside that face
     # S' and T' meet in the face on their own shared vertices.
-    tops = complex_.maximal_simplices()
+    tops = complex_._maximal
     for i, s in enumerate(tops):
         for t in tops[i + 1 :]:
             if not _intersection_is_common_face(s, t):
-                raise BadIntersection(
-                    f"{s.label()} and {t.label()} do not meet in a common face"
-                )
+                raise BadIntersection(f"{s.label()} and {t.label()} do not meet in a common face")
 
 
 def validate_complex(simplices: Iterable[Simplex]) -> RationalComplex:
@@ -307,59 +306,54 @@ def validate_complex(simplices: Iterable[Simplex]) -> RationalComplex:
 
 
 def face_poset(complex_: RationalComplex) -> FinitePoset:
-    """The simplices under the face relation, labelled canonically."""
-    sims = complex_.sorted_simplices
-    position = {s.vertex_set: i for i, s in enumerate(sims)}
-    covers: List[List[int]] = [[] for _ in sims]
-    for j, t in enumerate(sims):
-        for facet in _facets(t):
-            covers[position[facet]].append(j)
-    return poset_from_cover_dag([s.label() for s in sims], covers)
+    """The simplices under the face relation, labelled canonically: element i
+    is the i-th of sorted_simplices. Built once per complex."""
+    return complex_._face_poset
+
+
+def _locate(point: RationalPoint, tops: Iterable[Simplex]) -> Dict[RationalPoint, Fraction]:
+    """The point's carrier as {vertex: positive barycentric coordinate}, read
+    off the first simplex whose coordinates for it are all >= 0. Carriers are
+    unique, so any maximal simplex holding the point gives the same answer."""
+    for top in tops:
+        coords = top.barycentric_coords(point)
+        if coords is not None and min(coords) >= 0:
+            return {v: c for v, c in zip(top.vertices, coords) if c > 0}
+    raise PointOutsideSupport(f"{_format_point(point)} lies outside the support")
 
 
 def carrier(complex_: RationalComplex, point: Sequence) -> Simplex:
     """The unique simplex whose relative interior holds the point."""
-    point = rational_point(point)
-    for s in complex_.sorted_simplices:
-        if s.relint_contains(point):
-            return s
-    raise PointOutsideSupport(f"{_format_point(point)} lies outside the support")
+    return Simplex._trusted(_locate(rational_point(point), complex_._maximal))
 
 
 def open_star(complex_: RationalComplex, simplex: Simplex) -> FrozenSet[Simplex]:
     """The simplices whose relative interiors make up the open star."""
     if simplex not in complex_.simplices:
         raise UnknownElement("open star is only defined for members of the complex")
-    return frozenset(t for t in complex_.simplices if simplex.is_face_of(t))
+    up = face_poset(complex_).up_mask(complex_._index[simplex.vertex_set])
+    return frozenset(complex_.sorted_simplices[j] for j in _bits(up))
 
 
 # -- subdivisions ------------------------------------------------------------------
 
 
 def elementary_stellar(complex_: RationalComplex, point: Sequence) -> RationalComplex:
-    """Split every simplex containing the point by coning its unaffected
-    faces to the point. Identity exactly when the point is a vertex.
-
-    One solve per simplex: a face of s holds the point exactly when it holds
-    the point's support (its positive coordinates) in s. A face missing the
-    point misses its affine span too, as aff(face) ∩ s = face, so the cone
-    is a simplex."""
+    """Replace the open star of the point's carrier C: each simplex holding C
+    (exactly the simplices holding the point) gives way to the cones to the
+    point over its faces that miss C; every other simplex stays. Identity
+    exactly when the point is a vertex. A face missing the point misses its
+    affine span too, as aff(face) ∩ s = face, so each cone is a simplex."""
     point = rational_point(point)
-    new_simplices: Set[Simplex] = set()
-    inside = False
+    centre = frozenset(_locate(point, complex_._maximal))
+    new_simplices: Set[Simplex] = {Simplex._trusted((point,))}
     for s in complex_.simplices:
-        coords = s.barycentric_coords(point)
-        if coords is None or min(coords) < 0:
+        if not centre <= s.vertex_set:
             new_simplices.add(s)
             continue
-        inside = True
-        support = {v for v, c in zip(s.vertices, coords) if c > 0}
         for face in s.faces():
-            if not support <= face.vertex_set:
+            if not centre <= face.vertex_set:
                 new_simplices.add(Simplex._trusted(face.vertices + (point,)))
-    if not inside:
-        raise PointOutsideSupport(f"{_format_point(point)} lies outside the support")
-    new_simplices.add(Simplex._trusted((point,)))
     return RationalComplex(new_simplices, _trusted=True)
 
 
@@ -369,9 +363,7 @@ def elementary_barycentric(complex_: RationalComplex, simplex: Simplex) -> Ratio
     return elementary_stellar(complex_, simplex.barycentre())
 
 
-def barycentric_subdivision(
-    complex_: RationalComplex, budget: int = SIMPLEX_BUDGET
-) -> RationalComplex:
+def barycentric_subdivision(complex_: RationalComplex, budget: int = SIMPLEX_BUDGET) -> RationalComplex:
     """The order complex of the face poset, placed at the barycentres: one
     simplex conv(b(σ₀), …, b(σₖ)) per flag σ₀ < … < σₖ of the complex (Wachs,
     "Poset topology", arXiv:math/0602226). Its size, the number of flags, is
@@ -420,7 +412,10 @@ def is_unimodular(simplex: Simplex) -> bool:
 
 
 def is_unimodular_complex(complex_: RationalComplex) -> bool:
-    return all(is_unimodular(s) for s in complex_.simplices)
+    """Whether every simplex is unimodular. The maximal ones decide it: a
+    face of a unimodular simplex is unimodular, as part of a lattice basis
+    extends to one."""
+    return all(is_unimodular(s) for s in complex_._maximal)
 
 
 def farey_mediant(simplex: Simplex) -> RationalPoint:
@@ -450,28 +445,21 @@ def is_refinement(finer: RationalComplex, coarser: RationalComplex) -> bool:
     coarse simplex by exact volume bookkeeping of the pieces it contains
     (their interiors are disjoint, so covering is a volume identity).
 
-    Each fine vertex is solved once, against the first maximal coarse
-    simplex holding it, for its carrier and its coordinates there. Carriers
-    are unique and the coarse side is downward closed, so a piece lies in a
-    coarse simplex exactly when the union of its vertices' carriers is one,
-    and its chart volume there is the determinant of the tabulated
-    coordinates, zero off each carrier."""
+    Each fine vertex is located once, for its carrier and its coordinates
+    there. Carriers are unique and the coarse side is downward closed, so a
+    piece lies in a coarse simplex exactly when the union of its vertices'
+    carriers is one, and its chart volume there is the determinant of the
+    tabulated coordinates, zero off each carrier."""
     if not finer.simplices and not coarser.simplices:
         return True
     if not finer.simplices or not coarser.simplices:
         return False
     if finer.ambient_dim != coarser.ambient_dim:
         return False
-    tops = coarser.maximal_simplices()
-    chart = {}  # fine vertex -> {carrier vertex: its positive coordinate}
-    for v in finer.vertices:
-        for top in tops:
-            coords = top.barycentric_coords(v)
-            if coords is not None and min(coords) >= 0:
-                chart[v] = {w: c for w, c in zip(top.vertices, coords) if c > 0}
-                break
-        else:
-            return False
+    try:  # fine vertex -> {carrier vertex: its positive coordinate}
+        chart = {v: _locate(v, coarser._maximal) for v in finer.vertices}
+    except PointOutsideSupport:
+        return False
     volume = {s.vertex_set: Fraction(0) for s in coarser.simplices}  # per host
     span = {}  # fine simplex -> vertex set of the coarse simplex it spans
     for piece in finer.simplices:
@@ -486,12 +474,13 @@ def is_refinement(finer: RationalComplex, coarser: RationalComplex) -> bool:
         return False
     # the barycentre of every host must lie in a fine simplex: it is a fine
     # vertex, or it lies in a maximal piece spanning a coface of the host
-    fine_tops = finer.maximal_simplices()
     for host in coarser.simplices:
         centre = host.barycentre()
-        if centre not in chart and not any(
-            host.vertex_set <= span[top] and top.contains(centre) for top in fine_tops
-        ):
+        if centre in chart:
+            continue
+        try:
+            _locate(centre, (top for top in finer._maximal if host.vertex_set <= span[top]))
+        except PointOutsideSupport:
             return False
     return True
 
@@ -505,14 +494,11 @@ def geometric_realization(poset: FinitePoset, budget: int = SIMPLEX_BUDGET) -> R
     isomorphism from the nerve onto the face poset before returning."""
     n = poset.n
     nrv = nerve(poset, budget=budget)
-    basis = [
-        tuple(Fraction(1) if k == i else Fraction(0) for k in range(n)) for i in range(n)
-    ]
+    basis = [tuple(Fraction(1 if k == i else 0) for k in range(n)) for i in range(n)]
     simplices = [Simplex._trusted(basis[i] for i in _bits(mask)) for mask in nrv.chain_masks]
     complex_ = RationalComplex(simplices, _trusted=True)
     faces = face_poset(complex_)
-    position = {s: i for i, s in enumerate(complex_.sorted_simplices)}
-    image = [position[s] for s in simplices]
+    image = [complex_._index[s.vertex_set] for s in simplices]
     if faces.n != nrv.n or any(
         sum(1 << image[j] for j in _bits(nrv.up_mask(k))) != faces.up_mask(image[k])
         for k in range(nrv.n)
@@ -524,47 +510,60 @@ def geometric_realization(poset: FinitePoset, budget: int = SIMPLEX_BUDGET) -> R
 # -- upsets as open sets ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OpenPolyhedralSet:
     """An open set of the support presented symbolically: the union of the
-    relative interiors of an up-closed family of simplices. The Heyting
-    operations are those of the upset algebra of the face poset."""
+    relative interiors of an up-closed family of simplices, held as a mask
+    over the face poset. The Heyting operations are those of its upset
+    algebra; combining open sets of different complexes is refused."""
 
     complex: RationalComplex
-    members: FrozenSet[Simplex]
+    _mask: int
+
+    def __init__(self, complex: RationalComplex, members: Iterable[Simplex]):
+        mask = 0
+        for s in frozenset(members):
+            i = complex._index.get(s.vertex_set)
+            if i is None:
+                raise UnknownElement(f"{s.label()} is not in the complex")
+            mask |= 1 << i
+        object.__setattr__(self, "complex", complex)
+        object.__setattr__(self, "_mask", mask)
+
+    @property
+    def members(self) -> FrozenSet[Simplex]:
+        return frozenset(self.complex.sorted_simplices[i] for i in _bits(self._mask))
 
     def contains(self, point: Sequence) -> bool:
-        return carrier(self.complex, point) in self.members
+        return bool(self._mask >> self.complex._index[carrier(self.complex, point).vertex_set] & 1)
+
+    def _with(self, other: "OpenPolyhedralSet", mask: int) -> "OpenPolyhedralSet":
+        """The open set of the shared complex with the given mask."""
+        if self.complex is not other.complex and self.complex != other.complex:
+            raise PreconditionViolated("open sets of different complexes do not combine")
+        opened = OpenPolyhedralSet(self.complex, ())
+        object.__setattr__(opened, "_mask", mask)
+        return opened
 
     def __and__(self, other: "OpenPolyhedralSet") -> "OpenPolyhedralSet":
-        return OpenPolyhedralSet(self.complex, self.members & other.members)
+        return self._with(other, self._mask & other._mask)
 
     def __or__(self, other: "OpenPolyhedralSet") -> "OpenPolyhedralSet":
-        return OpenPolyhedralSet(self.complex, self.members | other.members)
+        return self._with(other, self._mask | other._mask)
 
     def implies(self, other: "OpenPolyhedralSet") -> "OpenPolyhedralSet":
-        inside = {
-            s
-            for s in self.complex.simplices
-            if all(
-                t in other.members
-                for t in self.complex.simplices
-                if s.is_face_of(t) and t in self.members
-            )
-        }
-        return OpenPolyhedralSet(self.complex, frozenset(inside))
+        return self._with(other, UpsetAlgebra(face_poset(self.complex)).implies(self._mask, other._mask))
 
 
 def upset_to_open(complex_: RationalComplex, upset: Iterable[Simplex]) -> OpenPolyhedralSet:
     """Read an up-closed family of simplices as the open set made of their
-    relative interiors."""
-    members = frozenset(upset)
-    for s in members:
-        if s not in complex_.simplices:
-            raise UnknownElement(f"{s.label()} is not in the complex")
-        for t in complex_.simplices:
-            if s.is_face_of(t) and t not in members:
-                raise NotUpwardClosed(
-                    f"{s.label()} is included but its coface {t.label()} is not"
-                )
-    return OpenPolyhedralSet(complex_, members)
+    relative interiors. A failure names the first member, in sorted order,
+    that misses a coface, and the first coface it misses."""
+    opened = OpenPolyhedralSet(complex_, upset)
+    faces, sims = face_poset(complex_), complex_.sorted_simplices
+    for i in _bits(opened._mask):
+        missing = faces.up_mask(i) & ~opened._mask
+        if missing:
+            coface = sims[next(_bits(missing))].label()
+            raise NotUpwardClosed(f"{sims[i].label()} is included but its coface {coface} is not")
+    return opened

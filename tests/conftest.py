@@ -3,12 +3,13 @@ naive brute-force oracles that the fast implementations are tested against.
 The brute-force oracles only ever use itertools-style enumeration, never the
 package's own machinery beyond basic order lookups. The replaced algorithms
 kept as differential oracles (backtracking_isomorphism, stellar_subdivision,
-all_pairs_check_complex, per_face_stellar, volume_refinement_oracle,
-fraction_lp_maximize, naive_counter_valuation, completion_diamond_connected,
+all_pairs_check_complex, scan_carrier, scan_open_star, pairwise_open_implies,
+per_face_stellar, volume_refinement_oracle, fraction_lp_maximize,
+naive_counter_valuation, completion_diamond_connected,
 completion_nerve_connected) reuse the package primitives they were built on:
-elementary stellar moves, the exact-LP intersection test, carriers and
-barycentric coordinates, the upset listing and the completion with a
-synthetic top."""
+elementary stellar moves, the exact-LP intersection test, barycentric
+coordinates, the face relation of simplices, the upset listing and the
+completion with a synthetic top."""
 from __future__ import annotations
 
 import random
@@ -22,7 +23,6 @@ from polynerve import (
     RationalComplex,
     Signature,
     Simplex,
-    carrier,
     check_completion,
     elementary_stellar,
     is_alpha_connected,
@@ -37,7 +37,7 @@ from polynerve.errors import (
 )
 from polynerve.exactla import determinant
 from polynerve.formulas import And, Const, Imp, Or, Var
-from polynerve.geometry import _intersection_is_common_face
+from polynerve.geometry import _format_point, _intersection_is_common_face
 from polynerve.semantics import VALUATION_BUDGET, UpsetAlgebra
 from polynerve.randposets import random_poset, random_rooted_poset
 
@@ -393,12 +393,40 @@ def all_pairs_check_complex(simplices) -> None:
                 raise BadIntersection(f"{s.label()} and {t.label()} do not meet in a common face")
 
 
+def scan_carrier(complex_, point):
+    """The package's former carrier: the first simplex, in sorted order,
+    whose relative interior holds the point, each test its own exact solve."""
+    point = rational_point(point)
+    for s in complex_.sorted_simplices:
+        if s.relint_contains(point):
+            return s
+    raise PointOutsideSupport(f"{_format_point(point)} lies outside the support")
+
+
+def scan_open_star(complex_, simplex):
+    """The package's former open star: every simplex of the complex that has
+    the given one as a face."""
+    return frozenset(t for t in complex_.simplices if simplex.is_face_of(t))
+
+
+def pairwise_open_implies(u, v):
+    """The package's former implication of open sets, as a set of simplices:
+    s is in U -> V when every coface of s in U is in V, found by scanning
+    every pair of simplices."""
+    simplices, u_members, v_members = u.complex.simplices, u.members, v.members
+    return frozenset(
+        s
+        for s in simplices
+        if all(t in v_members for t in simplices if s.is_face_of(t) and t in u_members)
+    )
+
+
 def per_face_stellar(complex_, point):
     """The package's former elementary stellar move: find the carrier first,
     then test the point against every simplex and, in each simplex holding
     it, against every face, each test its own exact solve."""
     point = rational_point(point)
-    carrier(complex_, point)  # raises PointOutsideSupport when outside
+    scan_carrier(complex_, point)  # raises PointOutsideSupport when outside
     new_simplices = set()
     for s in complex_.simplices:
         if not s.contains(point):
@@ -450,7 +478,7 @@ def volume_refinement_oracle(finer, coarser) -> bool:
         if total != 1:
             return False
         try:
-            carrier(finer, host.barycentre())
+            scan_carrier(finer, host.barycentre())
         except PointOutsideSupport:
             return False
     return True

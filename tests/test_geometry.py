@@ -1,3 +1,4 @@
+import operator
 import random
 from collections import Counter
 from fractions import Fraction as Fr
@@ -13,18 +14,25 @@ from polynerve.errors import (
     NotDownwardClosed,
     NotUpwardClosed,
     PointOutsideSupport,
+    PolynerveError,
     SizeBudgetExceeded,
 )
 from polynerve import exactla, geometry
 from polynerve.exactla import lp_maximize, smith_divisors
+from polynerve.formulas import And, Const, Imp, Or, Var
+from polynerve.semantics import UpsetAlgebra
 
 import conftest
 from conftest import (
     all_pairs_check_complex,
     brute_chains,
     fraction_lp_maximize,
+    naive_evaluate,
+    pairwise_open_implies,
     per_face_stellar,
     sample_posets,
+    scan_carrier,
+    scan_open_star,
     stellar_subdivision,
     volume_refinement_oracle,
 )
@@ -211,6 +219,64 @@ def test_relint_and_open_star(triangle):
     assert len(star) == 4  # the vertex, two edges, the face
 
 
+def _moved_complex(rng, moves):
+    """A random simplex of dimension 0-3 in Q^1-Q^3, with its faces, through
+    up to the given number of barycentric, Farey or stellar moves."""
+    ambient = rng.randint(1, 3)
+    complex_ = pn.validate_complex(_random_simplex(rng, rng.randint(0, ambient), ambient).faces())
+    for _ in range(rng.randint(0, moves)):
+        move = rng.choice(("barycentric", "farey", "stellar"))
+        complex_ = pn.elementary_stellar(
+            complex_, _point_of(rng, rng.choice(complex_.sorted_simplices), move)
+        )
+    return complex_
+
+
+def test_carrier_and_open_star_match_scan_oracles():
+    # inside: every vertex and edge midpoint, and the barycentre, Farey
+    # mediant and a random convex combination of sampled simplices; outside:
+    # random points, and a vertex of a maximal simplex pushed away from its
+    # barycentre, which stays in the affine hull
+    rng = random.Random(151)
+    seen = Counter()
+    for _ in range(40):
+        complex_ = _moved_complex(rng, 2)
+        ambient = complex_.ambient_dim
+        points = [s.barycentre() for s in complex_.sorted_simplices if s.dim <= 1]
+        for s in rng.sample(complex_.sorted_simplices, min(10, len(complex_))):
+            points += [s.barycentre(), pn.farey_mediant(s), _point_of(rng, s, "stellar")]
+        for point in points:
+            found = pn.carrier(complex_, point)
+            assert found == scan_carrier(complex_, point)
+            assert pn.open_star(complex_, found) == scan_open_star(complex_, found)
+            seen["inside"] += 1
+        outside = [
+            tuple(Fr(rng.randint(-12, 12), rng.randint(1, 3)) for _ in range(ambient))
+            for _ in range(6)
+        ]
+        outside += [
+            tuple(2 * a - b for a, b in zip(top.vertices[0], top.barycentre()))
+            for top in complex_.maximal_simplices()[:3]
+        ]
+        for point in outside:
+            try:
+                expected = scan_carrier(complex_, point)
+            except PointOutsideSupport as old:
+                with pytest.raises(PointOutsideSupport) as new:
+                    pn.carrier(complex_, point)
+                assert str(new.value) == str(old)
+                seen["outside"] += 1
+            else:
+                assert pn.carrier(complex_, point) == expected
+        for wrong in (ambient - 1, ambient + 1):
+            point = pt(*[Fr(1, 3)] * wrong)
+            with pytest.raises(DimensionMismatch):
+                pn.carrier(complex_, point)
+            with pytest.raises(DimensionMismatch):
+                scan_carrier(complex_, point)
+    assert seen["outside"] > 200 and seen["inside"] > 600
+
+
 # -- subdivisions -----------------------------------------------------------------------------
 
 
@@ -327,6 +393,37 @@ def test_unimodularity():
     e = [pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1)]
     assert pn.is_unimodular(Simplex(tuple(e)))
     assert pn.is_unimodular(Simplex((e[0], e[1])))
+
+
+def test_unimodularity_is_read_off_maximal_simplices(triangle, tetrahedron):
+    # random rational simplices with their faces (mostly not unimodular),
+    # Farey complexes (unimodular by construction), their barycentric
+    # subdivisions and their unions with a far simplex, against the
+    # all-simplices reading
+    rng = random.Random(157)
+    complexes = []
+    for _ in range(40):
+        ambient = rng.randint(1, 3)
+        complexes.append(pn.validate_complex(_random_simplex(rng, ambient, ambient).faces()))
+    complexes += [_moved_complex(rng, 3) for _ in range(20)]
+    for base in (triangle, tetrahedron):
+        for _ in range(6):
+            complex_ = base
+            for _ in range(rng.randint(1, 4)):
+                complex_ = pn.elementary_farey(complex_, rng.choice(complex_.sorted_simplices))
+            complexes += [complex_, pn.barycentric_subdivision(complex_)]
+            # a far simplex, placed first or last in sorted order, mixes in
+            # one top that may not be unimodular
+            far = _random_simplex(rng, base.ambient_dim, base.ambient_dim)
+            for shift in (-10, 10):
+                moved = Simplex(tuple(tuple(c + shift for c in v) for v in far.vertices))
+                complexes.append(pn.validate_complex(complex_.simplices | set(moved.faces())))
+    seen = Counter()
+    for complex_ in complexes:
+        answer = pn.is_unimodular_complex(complex_)
+        assert answer == all(pn.is_unimodular(s) for s in complex_.simplices)
+        seen[answer] += 1
+    assert seen[True] > 15 and seen[False] > 40
 
 
 def test_smith_divisors_basics():
@@ -567,20 +664,90 @@ def test_upset_to_open(triangle):
         pn.upset_to_open(triangle, {Simplex((pt(0, 0),))})
 
 
-def test_open_set_heyting_ops_match_upset_algebra(triangle):
-    from polynerve.semantics import UpsetAlgebra
+def _random_upset(rng, faces):
+    """The up-closure of a random set of face-poset elements."""
+    mask = 0
+    for i in range(faces.n):
+        if rng.random() < 0.15:
+            mask |= faces.up_mask(i)
+    return mask
 
-    fp = pn.face_poset(triangle)
-    algebra = UpsetAlgebra(fp)
-    label_to_simplex = {s.label(): s for s in triangle.simplices}
+
+def _open_of(complex_, mask):
+    faces = pn.face_poset(complex_)
+    by_label = {s.label(): s for s in complex_.simplices}
+    return pn.upset_to_open(complex_, {by_label[lab] for lab in faces.labels_of(mask)})
+
+
+def test_open_set_heyting_ops_match_upset_algebra(triangle, theta_frame):
+    # the former pairwise implication is the oracle, on the triangle, its
+    # barycentric subdivision and the realization of a five-element frame
     rng = random.Random(113)
-    for _ in range(20):
-        u_mask, v_mask = rng.choice(algebra.elements), rng.choice(algebra.elements)
-        as_open = lambda mask: pn.upset_to_open(
-            triangle, {label_to_simplex[lab] for lab in fp.labels_of(mask)}
-        )
-        u, v = as_open(u_mask), as_open(v_mask)
-        imp_mask = algebra.implies(u_mask, v_mask)
-        assert {s.label() for s in u.implies(v).members} == set(
-            fp.labels_of(imp_mask)
-        )
+    shapes = (triangle, pn.barycentric_subdivision(triangle), pn.geometric_realization(theta_frame))
+    for complex_ in shapes:
+        faces = pn.face_poset(complex_)
+        for _ in range(20):
+            u = _open_of(complex_, _random_upset(rng, faces))
+            v = _open_of(complex_, _random_upset(rng, faces))
+            assert u.implies(v).members == pairwise_open_implies(u, v)
+            assert (u & v).members == u.members & v.members
+            assert (u | v).members == u.members | v.members
+
+
+def test_open_sets_of_different_complexes_do_not_combine(triangle):
+    sd = pn.barycentric_subdivision(triangle)
+    u = pn.upset_to_open(triangle, triangle.simplices)
+    v = pn.upset_to_open(sd, sd.simplices)
+    for combine in (operator.and_, operator.or_, pn.OpenPolyhedralSet.implies):
+        for a, b in ((u, v), (v, u)):
+            with pytest.raises(PolynerveError):
+                combine(a, b)
+    # an equal complex built again is the same complex
+    again = full_complex(pt(0, 0), pt(1, 0), pt(0, 1))
+    w = pn.upset_to_open(again, again.simplices)
+    assert (u & w).members == (u | w).members == u.implies(w).members == triangle.simplices
+
+
+def _evaluate(phi, env, top, bottom, meet, join, implies):
+    if isinstance(phi, Var):
+        return env[phi.name]
+    if isinstance(phi, Const):
+        return top if phi.value else bottom
+    left = _evaluate(phi.left, env, top, bottom, meet, join, implies)
+    right = _evaluate(phi.right, env, top, bottom, meet, join, implies)
+    if isinstance(phi, And):
+        return meet(left, right)
+    if isinstance(phi, Or):
+        return join(left, right)
+    if isinstance(phi, Imp):
+        return implies(left, right)
+    raise TypeError(f"not a formula: {phi!r}")
+
+
+def test_formulas_read_on_the_polyhedron_match_the_face_poset():
+    # the paper's polyhedral reading: a formula's open set, built from the
+    # open sets of p and q, holds at the barycentre of a simplex exactly when
+    # the simplex is in the formula's value in the face poset's upset algebra
+    rng = random.Random(163)
+    formulas = [pn.named_formula(name) for name in ("KC", "LC", "SL")]
+    for _ in range(5):
+        realized = pn.geometric_realization(pn.random_rooted_poset(rng.randint(3, 5), rng))
+        for complex_ in (realized, pn.barycentric_subdivision(realized)):
+            faces = pn.face_poset(complex_)
+            algebra = UpsetAlgebra(faces)
+            by_label = {s.label(): s for s in complex_.simplices}
+            empty, whole = _open_of(complex_, 0), _open_of(complex_, algebra.top)
+            for _ in range(2):
+                masks = {name: _random_upset(rng, faces) for name in "pq"}
+                opens = {name: _open_of(complex_, mask) for name, mask in masks.items()}
+                for phi in formulas:
+                    value = _evaluate(
+                        phi, masks, algebra.top, 0, algebra.meet, algebra.join, algebra.implies
+                    )
+                    assert value == naive_evaluate(phi, masks, algebra)
+                    region = _evaluate(
+                        phi, opens, whole, empty, operator.and_, operator.or_,
+                        pn.OpenPolyhedralSet.implies,
+                    )
+                    for i, label in enumerate(faces.labels):
+                        assert region.contains(by_label[label].barycentre()) == bool(value >> i & 1)
