@@ -7,8 +7,12 @@ implication into falsum. The grammar is the CLI-facing one:
     unary   := '~' unary | atom
     atom    := VAR | 'T' | 'F' | '(' formula ')'
 
-Variables match [a-z][a-z0-9]*. print_formula is the exact inverse of
-parse_formula on its own output.
+Variables match [a-z][a-z0-9]*. Chains of | and & are read in loops and
+may be any length. Parentheses, negations and the right operands of -> nest:
+the parser refuses a formula with more than MAX_NESTING of them open at once,
+or one nested too deeply for the interpreter's stack (parentheses cost the
+most). print_formula is the exact inverse of parse_formula on its own output
+within those limits.
 """
 from __future__ import annotations
 
@@ -20,51 +24,98 @@ from .errors import MissingParameter, ParseError, UnknownName
 
 
 class Formula:
+    """An immutable formula node, equal to another by value. A node caches
+    its hash when it is built, from the cached hashes of its children, and
+    equality and `variables()` walk the trees with explicit stacks, so none
+    of them recurses however deep the formula is. The nodes are frozen
+    dataclasses whose constructors write their fields and hash straight
+    into the instance dict."""
+
     __slots__ = ()
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through __init__, so the hash is recomputed in the new process
+        return type(self), tuple(getattr(self, name) for name in self.__dataclass_fields__)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Formula):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b) or a._hash != b._hash:
+                return False
+            if isinstance(a, (And, Or, Imp)):
+                stack += [(a.right, b.right), (a.left, b.left)]
+            elif a.__dict__ != b.__dict__:  # a leaf: its field and its hash
+                return False
+        return True
+
     def variables(self) -> Tuple[str, ...]:
-        seen = []
-
-        def walk(node):
-            if isinstance(node, Var) and node.name not in seen:
-                seen.append(node.name)
+        seen = set()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Var):
+                seen.add(node.name)
             elif isinstance(node, (And, Or, Imp)):
-                walk(node.left)
-                walk(node.right)
-
-        walk(self)
+                stack += [node.left, node.right]
         return tuple(sorted(seen))
 
     def __str__(self) -> str:
         return print_formula(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Var(Formula):
     name: str
 
+    def __init__(self, name: str):
+        fields = self.__dict__
+        fields["name"] = name
+        fields["_hash"] = hash((Var, name))
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False, init=False)
 class Const(Formula):
     value: bool
 
+    def __init__(self, value: bool):
+        fields = self.__dict__
+        fields["value"] = value
+        fields["_hash"] = hash((Const, value))
 
-@dataclass(frozen=True)
-class And(Formula):
+
+@dataclass(frozen=True, eq=False, init=False)
+class _Connective(Formula):
     left: Formula
     right: Formula
 
+    def __init__(self, left: Formula, right: Formula):
+        fields = self.__dict__
+        fields["left"] = left
+        fields["right"] = right
+        fields["_hash"] = hash((type(self), left, right))
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+
+@dataclass(frozen=True, eq=False, init=False)
+class And(_Connective):
+    pass
 
 
-@dataclass(frozen=True)
-class Imp(Formula):
-    left: Formula
-    right: Formula
+@dataclass(frozen=True, eq=False, init=False)
+class Or(_Connective):
+    pass
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class Imp(_Connective):
+    pass
 
 
 TRUE = Const(True)
@@ -74,6 +125,8 @@ FALSE = Const(False)
 def Neg(phi: Formula) -> Formula:
     return Imp(phi, FALSE)
 
+
+MAX_NESTING = 500
 
 _TOKEN = re.compile(r"\s*(->|[&|~()]|T|F|[a-z][a-z0-9]*)")
 
@@ -96,6 +149,13 @@ def _tokenize(text: str):
 def parse_formula(text: str) -> Formula:
     tokens = _tokenize(text)
     index = 0
+    depth = 0  # parentheses, negations and right operands of -> open
+
+    def nest(levels: int) -> None:
+        nonlocal depth
+        depth += levels
+        if depth > MAX_NESTING:
+            fail("formula is nested too deeply")
 
     def peek():
         return tokens[index][0] if index < len(tokens) else None
@@ -116,10 +176,12 @@ def parse_formula(text: str) -> Formula:
             fail("formula ended unexpectedly")
         if tok == "(":
             take()
+            nest(1)
             inner = implication()
             if peek() != ")":
                 fail("expected ')'")
             take()
+            nest(-1)
             return inner
         if tok == "T":
             take()
@@ -133,10 +195,17 @@ def parse_formula(text: str) -> Formula:
         fail(f"expected an atom, found {tok!r}")
 
     def unary() -> Formula:
-        if peek() == "~":
+        negations = 0
+        while peek() == "~":
             take()
-            return Neg(unary())
-        return atom()
+            nest(1)
+            negations += 1
+        node = atom()
+        if negations:
+            nest(-negations)
+            for _ in range(negations):
+                node = Neg(node)
+        return node
 
     def conj() -> Formula:
         node = unary()
@@ -156,7 +225,9 @@ def parse_formula(text: str) -> Formula:
         node = disj()
         if peek() == "->":
             take()
-            return Imp(node, implication())
+            nest(1)
+            node = Imp(node, implication())
+            nest(-1)
         return node
 
     try:

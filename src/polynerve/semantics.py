@@ -84,15 +84,19 @@ def _flatten(phi: Formula, variables: Tuple[str, ...]) -> List[tuple]:
     """The distinct subformulas of phi, children before parents and phi
     itself last, as (connective, level, left, right) with children given by
     position. The level is the position in `variables` of the last variable
-    the node depends on, or -1 for none; a Const keeps its value as `left`."""
+    the node depends on, or -1 for none; a Const keeps its value as `left`.
+    Nodes are listed in the order a left-to-right depth-first walk first
+    finishes them; the walk keeps its own stack, so depth costs no recursion."""
     index: Dict[Formula, int] = {}
     nodes: List[tuple] = []
-
-    def visit(node: Formula) -> int:
-        if node in index:
-            return index[node]
+    stack = [phi]  # the path from phi to the node being listed
+    while stack:
+        node = stack[-1]
         if isinstance(node, (And, Or, Imp)):
-            left, right = visit(node.left), visit(node.right)
+            left, right = index.get(node.left), index.get(node.right)
+            if left is None or right is None:
+                stack.append(node.left if left is None else node.right)
+                continue
             entry = (type(node), max(nodes[left][1], nodes[right][1]), left, right)
         elif isinstance(node, Var):
             entry = (Var, variables.index(node.name), None, None)
@@ -100,11 +104,9 @@ def _flatten(phi: Formula, variables: Tuple[str, ...]) -> List[tuple]:
             entry = (Const, -1, node.value, None)
         else:
             raise TypeError(f"not a formula: {node!r}")
+        stack.pop()
         index[node] = len(nodes)
         nodes.append(entry)
-        return index[node]
-
-    visit(phi)
     return nodes
 
 
@@ -118,14 +120,19 @@ def counter_valuation(
 
     Evaluation is staged: a subformula is computed once its last variable is
     bound, so work on the outer variables is hoisted out of the inner loops.
+    Before the first binding and after each binding of an outer variable,
+    every subformula gets an interval [lo, hi] of upsets holding its value
+    under every completion of the bound variables, an unbound variable being
+    [empty, top] (interval abstract interpretation; implication is antitone
+    on the left). If lo of phi is top, no completion refutes phi and the
+    subtree is skipped; if hi of phi is not top, every completion refutes it,
+    and the first in product order, each remaining variable empty, is
+    returned. Neither cut changes the answer or the counter-valuation.
     The budget on the number of valuations is checked while the upsets are
     listed, which stops as soon as there are too many; a formula without
     variables lists none."""
-    try:
-        variables = phi.variables()
-        nodes = _flatten(phi, variables)
-    except RecursionError:
-        raise SizeBudgetExceeded("formula is nested too deeply to evaluate") from None
+    variables = phi.variables()
+    nodes = _flatten(phi, variables)
     k = len(variables)
     if k:
         elements = _upsets(poset, k, budget)
@@ -133,42 +140,82 @@ def counter_valuation(
         raise SizeBudgetExceeded(f"1 valuation exceeds the budget of {budget}")
     algebra = UpsetAlgebra(poset)
     top = algebra.top
-    values = [0] * len(nodes)
+    lo = [0] * len(nodes)  # a bound node's value, and the lower end of an open one
+    hi = [top] * len(nodes)
     slots = [0] * k  # the node of each variable
     stages: List[List[tuple]] = [[] for _ in range(k + 1)]  # stage 0: no variable
     for position, (kind, level, left, right) in enumerate(nodes):
         if kind is Var:
             slots[level] = position
         elif kind is Const:
-            values[position] = top if left else 0
+            lo[position] = hi[position] = top if left else 0
         else:
             stages[level + 1].append((position, kind, left, right))
+    # spans[j]: the nodes bounded once an outer variable j is bound, those of
+    # stage j + 1 coming out exact
+    spans = [sum(stages[j + 1 :], []) for j in range(k - 1)]
     implies = algebra.implies
 
     def compute(stage: List[tuple]) -> None:
+        # used for the innermost stage alone; its values go to lo only, since
+        # any bound() that reads these nodes recomputes them first
         for position, kind, left, right in stage:
             if kind is And:
-                values[position] = values[left] & values[right]
+                lo[position] = lo[left] & lo[right]
             elif kind is Or:
-                values[position] = values[left] | values[right]
+                lo[position] = lo[left] | lo[right]
             else:
-                values[position] = implies(values[left], values[right])
+                lo[position] = implies(lo[left], lo[right])
+
+    def bound(span: List[tuple]) -> None:
+        for position, kind, left, right in span:
+            if kind is And:
+                lo[position], hi[position] = lo[left] & lo[right], hi[left] & hi[right]
+            elif kind is Or:
+                lo[position], hi[position] = lo[left] | lo[right], hi[left] | hi[right]
+            else:
+                lo[position] = implies(hi[left], lo[right])
+                hi[position] = implies(lo[left], hi[right])
+
+    def decided(j: int) -> Optional[bool]:
+        """Whether every completion of variables j.. refutes phi (True), none
+        does (False), or the bounds cannot tell (None); on True each of
+        those variables is set to the empty upset, the first upset listed."""
+        if lo[-1] == top:
+            return False
+        if hi[-1] == top:
+            return None
+        for slot in slots[j:]:
+            lo[slot] = elements[0]
+        return True
 
     def refuted(j: int) -> bool:
         """Whether some valuation of variables j.. refutes phi, given the
         outer ones; the refuting upsets are left in their variables' slots."""
-        slot, stage, inner = slots[j], stages[j + 1], j + 1 < k
-        for u in elements:
-            values[slot] = u
-            compute(stage)
-            if (refuted(j + 1) if inner else values[-1] != top):
-                return True
+        slot = slots[j]
+        if j + 1 == k:
+            stage = stages[k]
+            for u in elements:
+                lo[slot] = u
+                compute(stage)
+                if lo[-1] != top:
+                    return True
+        else:
+            span = spans[j]
+            for u in elements:
+                lo[slot] = hi[slot] = u
+                bound(span)
+                cut = decided(j + 1)
+                if cut or (cut is None and refuted(j + 1)):
+                    return True
+        lo[slot], hi[slot] = 0, top
         return False
 
-    compute(stages[0])
-    if not (refuted(0) if k else values[-1] != top):
+    bound(sum(stages, []))
+    cut = decided(0)
+    if not (cut or (cut is None and refuted(0))):
         return None
-    return {name: algebra.members(values[slot]) for name, slot in zip(variables, slots)}
+    return {name: algebra.members(lo[slot]) for name, slot in zip(variables, slots)}
 
 
 def frame_validates(poset: FinitePoset, phi: Formula, budget: int = VALUATION_BUDGET) -> bool:

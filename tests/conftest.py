@@ -5,7 +5,7 @@ package's own machinery beyond basic order lookups. The replaced algorithms
 kept as differential oracles (backtracking_isomorphism, stellar_subdivision,
 all_pairs_check_complex, scan_carrier, scan_open_star, pairwise_open_implies,
 per_face_stellar, volume_refinement_oracle, fraction_lp_maximize,
-naive_counter_valuation, completion_diamond_connected,
+naive_counter_valuation, staged_counter_valuation, completion_diamond_connected,
 completion_nerve_connected) reuse the package primitives they were built on:
 elementary stellar moves, the exact-LP intersection test, barycentric
 coordinates, the face relation of simplices, the upset listing and the
@@ -38,7 +38,7 @@ from polynerve.errors import (
 from polynerve.exactla import determinant
 from polynerve.formulas import And, Const, Imp, Or, Var
 from polynerve.geometry import _format_point, _intersection_is_common_face
-from polynerve.semantics import VALUATION_BUDGET, UpsetAlgebra
+from polynerve.semantics import VALUATION_BUDGET, UpsetAlgebra, _flatten, _upsets
 from polynerve.randposets import random_poset, random_rooted_poset
 
 
@@ -588,6 +588,54 @@ def naive_counter_valuation(poset, phi, budget=VALUATION_BUDGET):
         if naive_evaluate(phi, env, algebra) != algebra.top:
             return {name: algebra.members(mask) for name, mask in env.items()}
     return None
+
+
+def staged_counter_valuation(poset, phi, budget=VALUATION_BUDGET):
+    """The package's former staged search: the same valuation order and
+    budget check as counter_valuation, each subformula computed once its last
+    variable is bound, but every valuation of the inner variables visited."""
+    variables = phi.variables()
+    nodes = _flatten(phi, variables)
+    k = len(variables)
+    if k:
+        elements = _upsets(poset, k, budget)
+    elif budget < 1:
+        raise SizeBudgetExceeded(f"1 valuation exceeds the budget of {budget}")
+    algebra = UpsetAlgebra(poset)
+    top = algebra.top
+    values = [0] * len(nodes)
+    slots = [0] * k
+    stages = [[] for _ in range(k + 1)]
+    for position, (kind, level, left, right) in enumerate(nodes):
+        if kind is Var:
+            slots[level] = position
+        elif kind is Const:
+            values[position] = top if left else 0
+        else:
+            stages[level + 1].append((position, kind, left, right))
+
+    def compute(stage):
+        for position, kind, left, right in stage:
+            if kind is And:
+                values[position] = values[left] & values[right]
+            elif kind is Or:
+                values[position] = values[left] | values[right]
+            else:
+                values[position] = algebra.implies(values[left], values[right])
+
+    def refuted(j):
+        slot, stage, inner = slots[j], stages[j + 1], j + 1 < k
+        for u in elements:
+            values[slot] = u
+            compute(stage)
+            if (refuted(j + 1) if inner else values[-1] != top):
+                return True
+        return False
+
+    compute(stages[0])
+    if not (refuted(0) if k else values[-1] != top):
+        return None
+    return {name: algebra.members(values[slot]) for name, slot in zip(variables, slots)}
 
 
 def sample_posets(count, max_size, seed, rooted=False):

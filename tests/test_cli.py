@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -296,6 +297,28 @@ def test_deeply_nested_formula_exits_2(capsys, theta_file, formula):
     assert code == 2 and out == ""
     assert err.startswith("polynerve: error: formula is nested too deeply")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("op", ["|", "&"], ids=["disjunction", "conjunction"])
+def test_flat_1200_term_formula_validates(capsys, tmp_path, theta_file, op):
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps({"elements": ["r"], "edges": []}))
+    formula = op.join(["p"] * 1200) + "|~p"
+    code, out, _ = run(capsys, ["validate", "-i", str(point), "--formula", formula])
+    assert code == 0 and json.loads(out)["result"] is True
+    code, out, _ = run(capsys, ["validate", "-i", theta_file, "--formula", formula])
+    payload = json.loads(out)
+    assert code == 1 and payload["result"] is False
+    theta = pn.FinitePoset.from_json(Path(theta_file).read_text())
+    refutation = pn.counter_valuation(theta, pn.parse_formula("p|~p"))
+    assert payload["counter_valuation"] == {k: sorted(v) for k, v in refutation.items()}
+
+
+def test_deeply_nested_implications_exit_2(capsys, theta_file):
+    formula = "->".join(["p"] * 600)
+    code, out, err = run(capsys, ["validate", "-i", theta_file, "--formula", formula])
+    assert code == 2 and out == ""
+    assert err.startswith("polynerve: error: formula is nested too deeply")
 
 
 @pytest.mark.parametrize(

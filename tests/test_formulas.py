@@ -1,3 +1,8 @@
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -41,6 +46,26 @@ def test_long_chains_print_without_recursion():
     for _ in range(1200):
         phi = Neg(phi)
     assert print_formula(phi) == "~" * 1200 + "p"
+
+
+def test_pickled_formula_rehashes_in_a_new_process():
+    # the cached hash depends on the process (type identity, string hash
+    # seed), so a pickle carries only the fields and the node is rebuilt
+    text = "(p->q)|~(r0&T)"
+    script = (
+        "import pickle, sys; from polynerve import parse_formula; "
+        "phi = pickle.loads(sys.stdin.buffer.read()); "
+        f"print(phi == parse_formula({text!r}) and {{phi: 1}}.get(parse_formula({text!r})) == 1)"
+    )
+    env = dict(os.environ, PYTHONHASHSEED="7", PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        input=pickle.dumps(parse_formula(text)),
+        capture_output=True,
+        env=env,
+        check=True,
+    ).stdout
+    assert out.strip() == b"True"
 
 
 def test_negation_resugars():

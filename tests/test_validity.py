@@ -1,13 +1,26 @@
-"""Frame validity of formulas: the staged evaluator against the former
-one-valuation-at-a-time search, its budget, and the paper's starlike axioms
-checked through formula semantics rather than through the characterisation."""
+"""Frame validity of formulas: the pruned staged evaluator against the
+former staged search and the former one-valuation-at-a-time search, its
+budget, formulas too long or too deep for recursion, and the paper's starlike
+axioms checked through formula semantics rather than through the
+characterisation."""
+import random
+
 import pytest
 
 import polynerve as pn
 from polynerve import Signature, named_formula, parse_formula
-from polynerve.errors import SizeBudgetExceeded
+from polynerve.errors import ParseError, SizeBudgetExceeded
+from polynerve.formulas import Neg, Var
+from polynerve.randposets import random_rooted_poset
+from polynerve.semantics import VALUATION_BUDGET
 
-from conftest import make_antichain, make_chain, naive_counter_valuation, sample_posets
+from conftest import (
+    make_antichain,
+    make_chain,
+    naive_counter_valuation,
+    sample_posets,
+    staged_counter_valuation,
+)
 
 S = Signature.parse
 
@@ -61,6 +74,46 @@ def test_wide_formulas_refuted_alike():
             assert pn.counter_valuation(poset, FORMULAS[name]) == expected, name
 
 
+def test_pruned_search_matches_both_oracles():
+    """The interval cuts skip or settle whole subtrees of valuations without
+    visiting them; the result, counter-valuation included, must be the one
+    both former searches find by visiting every valuation before it."""
+    searches = (pn.counter_valuation, staged_counter_valuation, naive_counter_valuation)
+
+    def agree(poset, phi, budget):
+        results = [outcome(search, poset, phi, budget) for search in searches]
+        assert results[1:] == results[:-1], (phi, poset.to_json())
+        return results[0]
+
+    # in these the last variables occur only where F or T absorbs them, so
+    # the bounds see every completion of a refuting prefix refute, and the
+    # search returns at once with those variables empty
+    absorbing = {
+        "vacuous": parse_formula("(q|T)->p"),
+        "absorbed": parse_formula("p|~p|q&F"),
+        "absorbed LC": parse_formula("(p->q)|(q->p)|r&F"),
+    }
+    # the naive search tries one valuation at a time, so on the small frames
+    # the budget keeps it short; the three refuse alike beyond it
+    seen = set()
+    for poset in sample_posets(100, 7, seed=107, rooted=True) + sample_posets(100, 7, seed=113):
+        for name, phi in {**FORMULAS, **absorbing}.items():
+            result = agree(poset, phi, 2000)
+            seen.add((name, "refused" if result is SizeBudgetExceeded else result is None))
+    assert {outcome for _, outcome in seen} == {"refused", True, False}
+    refuted = {name for name, outcome in seen if outcome is False}
+    assert refuted == set(FORMULAS) - {"T", "BW3"} | set(absorbing)
+    # rooted frames of 8-11 elements at the default budget, which 57 of the
+    # 60 fit: their refutations lie deep in the valuation order
+    rng = random.Random(3)
+    wide = [random_rooted_poset(rng.randint(8, 11), rng, 0.25) for _ in range(60)]
+    answered = 0
+    for poset in wide:
+        for name in ("BW2", "BC2"):
+            answered += agree(poset, FORMULAS[name], VALUATION_BUDGET) is not SizeBudgetExceeded
+    assert answered == 2 * 57
+
+
 def test_budget_is_checked_while_the_upsets_are_listed():
     # 2^40 upsets: listing them all before counting would never finish
     big = make_antichain(40)
@@ -69,6 +122,43 @@ def test_budget_is_checked_while_the_upsets_are_listed():
     # no variables, one valuation, no upset needed
     assert pn.frame_validates(big, parse_formula("T"))
     assert not pn.frame_validates(big, parse_formula("F"))
+
+
+@pytest.mark.parametrize("op", ["|", "&"], ids=["disjunction", "conjunction"])
+def test_flat_1200_term_chains_are_decided(op):
+    # a chain of one connective parses into a left-deep tree 1200 nodes deep;
+    # hashing, variables() and the flattening walk it without recursion
+    point, fork = make_chain(1), pn.starlike_tree(S("1^2"))
+    text = op.join(["p"] * 1200)
+    chain = parse_formula(text)
+    assert chain.variables() == ("p",)
+    assert chain == parse_formula(text) and hash(chain) == hash(parse_formula(text))
+    # two equal halves built apart: flattening merges them by value
+    halves = parse_formula(f"({text})&({text})")
+    assert pn.counter_valuation(fork, halves) == pn.counter_valuation(fork, Var("p"))
+    for frame in (point, fork):
+        assert pn.counter_valuation(frame, chain) == pn.counter_valuation(frame, Var("p"))
+    # with excluded middle appended it holds exactly on the classical frame
+    middle = parse_formula(text + "|~p")
+    assert pn.frame_validates(point, middle)
+    assert pn.counter_valuation(fork, middle) == pn.counter_valuation(fork, parse_formula("p|~p"))
+    assert pn.counter_valuation(fork, middle) is not None
+
+
+def test_deep_nesting_is_refused_by_the_parser_but_evaluated_when_built():
+    nested = ["~" * 501 + "p", "->".join(["p"] * 502), "(" * 600 + "p" + ")" * 600]
+    for text in nested:
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_formula(text)
+    fork = pn.starlike_tree(S("1^2"))
+    negated = pn.counter_valuation(fork, parse_formula("~p"))
+    assert pn.counter_valuation(fork, parse_formula("~" * 499 + "p")) == negated
+    assert pn.frame_validates(fork, parse_formula("->".join(["p"] * 501)))
+    # built through the API, 2001 negations evaluate like one
+    phi = Var("p")
+    for _ in range(2001):
+        phi = Neg(phi)
+    assert pn.counter_valuation(fork, phi) == negated
 
 
 def test_starlike_axioms_through_semantics():
