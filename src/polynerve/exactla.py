@@ -1,84 +1,71 @@
-"""Exact linear algebra over the rationals and the integers: Gaussian
-elimination, determinants, Smith normal form, and a small fraction-free
-two-phase simplex for LP feasibility questions. No floating point anywhere."""
+"""Exact linear algebra over the rationals and the integers, with no
+floating point anywhere. Linear systems, ranks, determinants and a small
+two-phase simplex for LP feasibility questions all run on one fraction-free
+elimination step (Bareiss, Math. Comp. 22, 1968) over rows scaled once to
+integers; Smith normal form is separate."""
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from numbers import Rational
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 def solve_exact(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Optional[List[Fraction]]:
     """One exact solution of A x = b, or None if the system is inconsistent.
     The system may be over- or under-determined; free variables are set to 0."""
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    a = [list(matrix[r]) + [rhs[r]] for r in range(rows)]
-    pivot_cols: List[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = a[r][c]
-        a[r] = [v / inv for v in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                factor = a[i][c]
-                a[i] = [v - factor * w for v, w in zip(a[i], a[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if a[i][cols] != 0:
-            return None
+    cols = len(matrix[0]) if matrix else 0
+    tableau, pivots, denom, _ = _reduce([[*row, b] for row, b in zip(matrix, rhs)], cols)
+    if any(row[-1] for i, row in enumerate(tableau) if i not in pivots):
+        return None
     solution = [Fraction(0)] * cols
-    for row, c in enumerate(pivot_cols):
-        solution[c] = a[row][cols]
+    for row, col in pivots.items():
+        solution[col] = Fraction(tableau[row][-1], denom)
     return solution
 
 
 def rank_exact(matrix: Sequence[Sequence[Fraction]]) -> int:
-    rows = [list(r) for r in matrix]
-    n_rows = len(rows)
-    cols = len(rows[0]) if n_rows else 0
-    rank = 0
-    for c in range(cols):
-        pivot = next((i for i in range(rank, n_rows) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for i in range(n_rows):
-            if i != rank and rows[i][c] != 0:
-                factor = rows[i][c] / rows[rank][c]
-                rows[i] = [v - factor * w for v, w in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+    return len(_reduce(matrix, len(matrix[0]) if matrix else 0)[1])
 
 
 def determinant(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
     n = len(matrix)
-    a = [list(row) for row in matrix]
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            a[c], a[pivot] = a[pivot], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                factor = a[i][c] / inv
-                a[i] = [v - factor * w for v, w in zip(a[i], a[c])]
-    return det
+    _, pivots, denom, scale = _reduce(matrix, n)
+    if len(pivots) < n:
+        return Fraction(0)
+    rows = list(pivots)
+    swaps = sum(a > b for i, a in enumerate(rows) for b in rows[i + 1 :])
+    return Fraction((-1) ** swaps * denom, scale)
+
+
+def _integer_row(entries: Sequence[Rational]) -> Tuple[List[int], int]:
+    """The entries times the lcm of their denominators, and that lcm."""
+    scale = lcm(*(v.denominator for v in entries))
+    return [v.numerator * (scale // v.denominator) for v in entries], scale
+
+
+def _reduce(rows: Sequence[Sequence[Rational]], width: int):
+    """Fraction-free Gauss-Jordan elimination of the rows, each first scaled
+    to integers, on their first `width` columns: column by column, pivot on
+    the first row not yet pivoted whose entry there is nonzero. Returns the
+    tableau, the pivots as {row: column} in column order, the final
+    denominator D, and the product of the row scales, negated once per
+    pivot that negated the tableau. A pivot row holds D times its solution;
+    D over that product is the determinant of the input's pivot block, rows
+    in pivot order."""
+    scaled = [_integer_row(row) for row in rows]
+    tableau = [ints for ints, _ in scaled]
+    scale = prod(row_scale for _, row_scale in scaled)
+    pivots: Dict[int, int] = {}
+    denom = 1
+    for col in range(width):
+        row = next((i for i, r in enumerate(tableau) if r[col] and i not in pivots), None)
+        if row is not None:
+            if tableau[row][col] < 0:
+                scale = -scale
+            denom = _pivot(tableau, row, col, denom)
+            pivots[row] = col
+    return tableau, pivots, denom, scale
 
 
 def smith_divisors(matrix: Sequence[Sequence[int]]) -> List[int]:
@@ -161,9 +148,7 @@ def lp_maximize(
     tableau: List[List[int]] = []
     scales: List[int] = []
     for i, (row, rhs) in enumerate(zip(a_eq, b_eq)):
-        entries = [*row, rhs]
-        scale = lcm(*(v.denominator for v in entries))
-        ints = [v.numerator * (scale // v.denominator) for v in entries]
+        ints, scale = _integer_row([*row, rhs])
         if ints[-1] < 0:  # so that the artificial basis starts feasible
             ints = [-v for v in ints]
         tableau.append(ints[:-1] + [int(j == i) for j in range(rows)] + ints[-1:])
@@ -181,8 +166,8 @@ def lp_maximize(
     keep = [i for i in range(rows) if basis[i] < cols]
     tableau = [tableau[i][:cols] + [tableau[i][-1]] for i in keep]
     basis = [basis[i] for i in keep]
-    scale = lcm(*(c.denominator for c in objective))
-    cost = [-c.numerator * (scale // c.denominator) for c in objective]  # minimise the negation
+    cost, scale = _integer_row(objective)
+    cost = [-c for c in cost]  # minimise the negation
     denom = _simplex_min(tableau, basis, cost, cols, denom)
     return Fraction(-_basic_value(tableau, basis, cost), denom * scale)
 

@@ -239,38 +239,47 @@ def parse_formula(text: str) -> Formula:
     return result
 
 
-# precedence levels: -> 1, | 2, & 3, ~ 4, atoms 5. Runs of ~ and the left
-# spines of | and & chains are walked in loops, so their length costs no
-# recursion depth.
-def _render(phi: Formula, level: int) -> str:
-    negations = 0
-    while isinstance(phi, Imp) and phi.right == FALSE:
-        negations += 1
-        phi = phi.left
-    if negations:
-        return "~" * negations + _render(phi, 4)
-    if isinstance(phi, Var):
-        return phi.name
-    if isinstance(phi, Const):
-        return "T" if phi.value else "F"
-    if isinstance(phi, Imp):
-        text = _render(phi.left, 2) + "->" + _render(phi.right, 1)
-        return f"({text})" if level > 1 else text
-    if isinstance(phi, (Or, And)):
-        kind = type(phi)
-        op, own = ("|", 2) if kind is Or else ("&", 3)
-        rights = []
-        while isinstance(phi, kind):
-            rights.append(phi.right)
-            phi = phi.left
-        terms = [_render(phi, own)] + [_render(r, own + 1) for r in reversed(rights)]
-        text = op.join(terms)
-        return f"({text})" if level > own else text
-    raise TypeError(f"not a formula: {phi!r}")
-
-
+# precedence levels: -> 1, | 2, & 3, ~ 4, atoms 5. The text is written from
+# a stack of pending pieces, strings and (formula, level) pairs, so printing
+# costs no recursion depth however the formula nests.
 def print_formula(phi: Formula) -> str:
-    return _render(phi, 1)
+    out = []
+    stack = [(phi, 1)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        phi, level = item
+        negations = 0
+        while isinstance(phi, Imp) and phi.right == FALSE:
+            negations += 1
+            phi = phi.left
+        if negations:
+            out.append("~" * negations)
+            stack.append((phi, 4))
+            continue
+        if isinstance(phi, Var):
+            out.append(phi.name)
+            continue
+        if isinstance(phi, Const):
+            out.append("T" if phi.value else "F")
+            continue
+        # a connective's pieces are listed right to left, as they are pushed
+        if isinstance(phi, Imp):
+            own, pieces = 1, [(phi.right, 1), "->", (phi.left, 2)]
+        elif isinstance(phi, (Or, And)):
+            kind = type(phi)
+            op, own = ("|", 2) if kind is Or else ("&", 3)
+            pieces = []
+            while isinstance(phi, kind):
+                pieces += [(phi.right, own + 1), op]
+                phi = phi.left
+            pieces.append((phi, own))
+        else:
+            raise TypeError(f"not a formula: {phi!r}")
+        stack += [")", *pieces, "("] if level > own else pieces
+    return "".join(out)
 
 
 def _or_all(parts) -> Formula:

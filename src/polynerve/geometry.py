@@ -27,7 +27,7 @@ from .errors import (
     SizeBudgetExceeded,
     UnknownElement,
 )
-from .exactla import determinant, lp_maximize, rank_exact, smith_divisors, solve_exact
+from .exactla import _integer_row, determinant, lp_maximize, rank_exact, smith_divisors, solve_exact
 from .nerves import nerve
 from .posets import FinitePoset, _bits, poset_from_cover_dag
 from .semantics import UpsetAlgebra
@@ -66,9 +66,7 @@ class Simplex:
         if len({len(v) for v in verts}) != 1:
             raise ValueError("vertices must share an ambient dimension")
         object.__setattr__(self, "vertices", verts)
-        # affine independence: the homogenised vertex matrix has full rank
-        mat = [list(v) + [Fraction(1)] for v in verts]
-        if rank_exact(mat) != len(verts):
+        if rank_exact(_homogenised(verts)) != len(verts):
             raise AffineDependence(f"vertices are affinely dependent: {self.label()}")
 
     @classmethod
@@ -127,10 +125,7 @@ class Simplex:
             raise DimensionMismatch(
                 f"a point of Q^{len(point)} tested against a simplex in Q^{self.ambient_dim}"
             )
-        matrix = [[v[r] for v in self.vertices] for r in range(self.ambient_dim)]
-        matrix.append([Fraction(1)] * len(self.vertices))
-        rhs = list(point) + [Fraction(1)]
-        solution = solve_exact(matrix, rhs)
+        solution = solve_exact(_homogenised(self.vertices), (*point, 1))
         return tuple(solution) if solution is not None else None
 
     def contains(self, point: Sequence) -> bool:
@@ -140,6 +135,12 @@ class Simplex:
     def relint_contains(self, point: Sequence) -> bool:
         coords = self.barycentric_coords(point)
         return coords is not None and all(c > 0 for c in coords)
+
+
+def _homogenised(vertices: Sequence[RationalPoint]) -> List[List]:
+    """The matrix whose columns are the vertices with a 1 appended: its rank
+    is the number of vertices exactly when they are affinely independent."""
+    return [list(axis) for axis in zip(*vertices)] + [[1] * len(vertices)]
 
 
 def barycentre(simplex: Simplex) -> RationalPoint:
@@ -240,6 +241,8 @@ class RationalComplex:
             for v in verts:
                 if len(v) != payload["dim"]:
                     raise MalformedInput("vertex dimension disagrees with the declared dim")
+            if not all(ix and all(type(i) is int for i in ix) for ix in payload["simplices"]):
+                raise MalformedInput("a simplex must be a nonempty list of vertex indices")
             if not all(0 <= i < len(verts) for ix in payload["simplices"] for i in ix):
                 raise MalformedInput("a simplex names a vertex index out of range")
             tops = [Simplex(tuple(verts[i] for i in ix)) for ix in payload["simplices"]]
@@ -397,9 +400,7 @@ def denominator(point: Sequence) -> int:
 
 def homogeneous(point: Sequence) -> Tuple[int, ...]:
     """The integer vector (q x, q) for q the denominator of x."""
-    point = rational_point(point)
-    q = denominator(point)
-    return tuple(int(c * q) for c in point) + (q,)
+    return tuple(_integer_row((*rational_point(point), 1))[0])
 
 
 def is_unimodular(simplex: Simplex) -> bool:

@@ -5,6 +5,7 @@ package's own machinery beyond basic order lookups. The replaced algorithms
 kept as differential oracles (backtracking_isomorphism, stellar_subdivision,
 all_pairs_check_complex, scan_carrier, scan_open_star, pairwise_open_implies,
 per_face_stellar, volume_refinement_oracle, fraction_lp_maximize,
+fraction_solve_exact, fraction_rank_exact, fraction_determinant,
 naive_counter_valuation, staged_counter_valuation, completion_diamond_connected,
 completion_nerve_connected) reuse the package primitives they were built on:
 elementary stellar moves, the exact-LP intersection test, barycentric
@@ -35,7 +36,6 @@ from polynerve.errors import (
     PointOutsideSupport,
     SizeBudgetExceeded,
 )
-from polynerve.exactla import determinant
 from polynerve.formulas import And, Const, Imp, Or, Var
 from polynerve.geometry import _format_point, _intersection_is_common_face
 from polynerve.semantics import VALUATION_BUDGET, UpsetAlgebra, _flatten, _upsets
@@ -448,7 +448,7 @@ def _chart_volume(simplex, piece) -> Fraction:
         [coords[i + 1][r] - base[r] for i in range(len(coords) - 1)]
         for r in range(1, len(base))
     ]
-    return abs(determinant(mat))
+    return abs(fraction_determinant(mat))
 
 
 def volume_refinement_oracle(finer, coarser) -> bool:
@@ -482,6 +482,83 @@ def volume_refinement_oracle(finer, coarser) -> bool:
         except PointOutsideSupport:
             return False
     return True
+
+
+def fraction_solve_exact(matrix, rhs):
+    """The package's former solve_exact: Gauss-Jordan elimination on
+    Fractions, each pivot row divided through. One solution of A x = b with
+    the free variables at 0, or None if the system is inconsistent."""
+    rows = len(matrix)
+    cols = len(matrix[0]) if rows else 0
+    a = [list(map(Fraction, matrix[r])) + [Fraction(rhs[r])] for r in range(rows)]
+    pivot_cols = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        inv = a[r][c]
+        a[r] = [v / inv for v in a[r]]
+        for i in range(rows):
+            if i != r and a[i][c] != 0:
+                factor = a[i][c]
+                a[i] = [v - factor * w for v, w in zip(a[i], a[r])]
+        pivot_cols.append(c)
+        r += 1
+        if r == rows:
+            break
+    for i in range(r, rows):
+        if a[i][cols] != 0:
+            return None
+    solution = [Fraction(0)] * cols
+    for row, c in enumerate(pivot_cols):
+        solution[c] = a[row][cols]
+    return solution
+
+
+def fraction_rank_exact(matrix):
+    """The package's former rank_exact: Gauss-Jordan elimination on
+    Fractions."""
+    rows = [list(map(Fraction, r)) for r in matrix]
+    n_rows = len(rows)
+    cols = len(rows[0]) if n_rows else 0
+    rank = 0
+    for c in range(cols):
+        pivot = next((i for i in range(rank, n_rows) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(n_rows):
+            if i != rank and rows[i][c] != 0:
+                factor = rows[i][c] / rows[rank][c]
+                rows[i] = [v - factor * w for v, w in zip(rows[i], rows[rank])]
+        rank += 1
+        if rank == n_rows:
+            break
+    return rank
+
+
+def fraction_determinant(matrix):
+    """The package's former determinant: forward elimination on Fractions,
+    negated once per row swap."""
+    n = len(matrix)
+    a = [list(map(Fraction, row)) for row in matrix]
+    det = Fraction(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if a[i][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            a[c], a[pivot] = a[pivot], a[c]
+            det = -det
+        det *= a[c][c]
+        inv = a[c][c]
+        for i in range(c + 1, n):
+            if a[i][c] != 0:
+                factor = a[i][c] / inv
+                a[i] = [v - factor * w for v, w in zip(a[i], a[c])]
+    return det
 
 
 def fraction_lp_maximize(a_eq, b_eq, objective):

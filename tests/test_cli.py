@@ -141,14 +141,19 @@ def test_subdivide_budget_exits_2(capsys, tmp_path):
         "[]",
         json.dumps({"dim": 1, "vertices": [[[0, 0]], [[1, 1]]], "simplices": [[0, 1]]}),
         json.dumps({"dim": 1, "vertices": [[[0, 1]], [[1, 1]]], "simplices": [[0, 2]]}),
+        json.dumps({"dim": 1, "vertices": [[[0, 1]]], "simplices": [[]]}),
+        json.dumps({"dim": 1, "vertices": [[[0, 1]], [[1, 1]]], "simplices": [[0, True]]}),
     ],
-    ids=["empty-object", "list", "zero-denominator", "index-out-of-range"],
+    ids=["empty-object", "list", "zero-denominator", "index-out-of-range", "empty-simplex",
+         "boolean-index"],
 )
 def test_malformed_complex_exits_2(capsys, tmp_path, text):
     path = tmp_path / "K.json"
     path.write_text(text)
     code, out, err = run(capsys, ["subdivide", "-i", str(path)])
     assert code == 2 and out == "" and err.startswith("polynerve: error:")
+    with pytest.raises(MalformedInput):
+        pn.RationalComplex.from_json(text)
 
 
 @pytest.mark.parametrize(

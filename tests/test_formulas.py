@@ -48,6 +48,29 @@ def test_long_chains_print_without_recursion():
     assert print_formula(phi) == "~" * 1200 + "p"
 
 
+def _nested(depth):
+    """A right spine of -> and a left spine alternating | and &, each
+    `depth` deep, with the texts they print as."""
+    p = Var("p")
+    implication, chain, chain_text = p, p, "p"
+    for i in range(depth):
+        implication = Imp(p, implication)
+        if i % 2:
+            chain, chain_text = And(chain, p), f"({chain_text})&p"
+        else:
+            chain, chain_text = Or(chain, p), chain_text + "|p"
+    return [(implication, "->".join(["p"] * (depth + 1))), (chain, chain_text)]
+
+
+def test_deep_spines_print_without_recursion():
+    for phi, text in _nested(1200):
+        assert print_formula(phi) == text
+        assert str(phi) == text
+    # below the parser's nesting limit both round-trip
+    for phi, text in _nested(300):
+        assert parse_formula(print_formula(phi)) == phi
+
+
 def test_pickled_formula_rehashes_in_a_new_process():
     # the cached hash depends on the process (type identity, string hash
     # seed), so a pickle carries only the fields and the node is rebuilt

@@ -432,6 +432,54 @@ def test_smith_divisors_basics():
     assert smith_divisors([[2, 4], [4, 8]]) == [2]
 
 
+def _random_system(rng):
+    """A seeded system of 1-6 rows and columns over ints and Fractions of
+    both signs, so that pivots negate. In half of them one row is a copy or
+    multiple of another (rank deficient), its right-hand side sometimes
+    moved off the copy (inconsistent)."""
+    def entry():
+        value = rng.randint(-5, 5)
+        return value if rng.random() < 0.5 else Fr(value, rng.randint(1, 4))
+
+    cols = rng.randint(1, 6)
+    rows = [[entry() for _ in range(cols)] for _ in range(rng.randint(1, 6))]
+    rhs = [entry() for _ in rows]
+    if rng.random() < 0.5:
+        i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+        factor = rng.choice((1, -1, 2, Fr(-2, 3)))
+        rows[j] = [factor * v for v in rows[i]]
+        rhs[j] = factor * rhs[i] + rng.choice((0, 0, 1))
+    return rows, rhs
+
+
+def test_elimination_matches_fraction_oracles(monkeypatch):
+    negating = []
+    pivot = exactla._pivot
+
+    def counting(tableau, row, col, denominator):
+        negating.append(tableau[row][col] < 0)
+        return pivot(tableau, row, col, denominator)
+
+    monkeypatch.setattr(exactla, "_pivot", counting)
+    rng = random.Random(163)
+    seen = Counter()
+    for _ in range(3000):
+        rows, rhs = _random_system(rng)
+        solution = exactla.solve_exact(rows, rhs)
+        assert solution == conftest.fraction_solve_exact(rows, rhs)
+        assert exactla.rank_exact(rows) == conftest.fraction_rank_exact(rows)
+        square = [(row * len(rows))[: len(rows)] for row in rows]  # columns cycled
+        det = exactla.determinant(square)
+        assert det == conftest.fraction_determinant(square)
+        assert all(type(v) is Fr for v in [det] + (solution or []))
+        seen["inconsistent" if solution is None else "solved"] += 1
+        seen["negative" if det < 0 else "singular" if det == 0 else "positive"] += 1
+    assert min(seen.values()) > 300 and sum(negating) > 1000
+    for point in [(), (0,), (Fr(-2, 3), Fr(1, 2)), (Fr(5, 4), 3, Fr(-7, 6))]:
+        q = pn.denominator(point)  # the former definition of homogeneous
+        assert pn.homogeneous(point) == tuple(int(Fr(c) * q) for c in point) + (q,)
+
+
 def _random_lp(rng):
     """A seeded LP over Q with fractional entries, right-hand sides of both
     signs and a fractional objective, bounded by a row of positive weights.
