@@ -15,13 +15,24 @@ def solve_exact(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -
     """One exact solution of A x = b, or None if the system is inconsistent.
     The system may be over- or under-determined; free variables are set to 0."""
     cols = len(matrix[0]) if matrix else 0
-    tableau, pivots, denom, _ = _reduce([[*row, b] for row, b in zip(matrix, rhs)], cols)
+    solution = _solve_integer([_integer_row([*row, b])[0] for row, b in zip(matrix, rhs)], cols)
+    if solution is None:
+        return None
+    numerators, denom = solution
+    return [Fraction(m, denom) for m in numerators]
+
+
+def _solve_integer(tableau: List[Sequence[int]], width: int) -> Optional[Tuple[List[int], int]]:
+    """solve_exact on an integer tableau [A | b] of `width` unknowns: the
+    solution's numerators over one common denominator, or None. The list's
+    rows are replaced, never changed in place, so they may be shared tuples."""
+    pivots, denom, _ = _eliminate(tableau, width)
     if any(row[-1] for i, row in enumerate(tableau) if i not in pivots):
         return None
-    solution = [Fraction(0)] * cols
+    numerators = [0] * width
     for row, col in pivots.items():
-        solution[col] = Fraction(tableau[row][-1], denom)
-    return solution
+        numerators[col] = tableau[row][-1]
+    return numerators, denom
 
 
 def rank_exact(matrix: Sequence[Sequence[Fraction]]) -> int:
@@ -55,17 +66,24 @@ def _reduce(rows: Sequence[Sequence[Rational]], width: int):
     in pivot order."""
     scaled = [_integer_row(row) for row in rows]
     tableau = [ints for ints, _ in scaled]
-    scale = prod(row_scale for _, row_scale in scaled)
+    pivots, denom, sign = _eliminate(tableau, width)
+    return tableau, pivots, denom, sign * prod(row_scale for _, row_scale in scaled)
+
+
+def _eliminate(tableau: List[Sequence[int]], width: int) -> Tuple[Dict[int, int], int, int]:
+    """The elimination loop of _reduce on an integer tableau, replacing its
+    rows: the pivots, the final denominator, and -1 to the number of
+    negating pivots."""
     pivots: Dict[int, int] = {}
-    denom = 1
+    denom, sign = 1, 1
     for col in range(width):
         row = next((i for i, r in enumerate(tableau) if r[col] and i not in pivots), None)
         if row is not None:
             if tableau[row][col] < 0:
-                scale = -scale
+                sign = -sign
             denom = _pivot(tableau, row, col, denom)
             pivots[row] = col
-    return tableau, pivots, denom, scale
+    return pivots, denom, sign
 
 
 def smith_divisors(matrix: Sequence[Sequence[int]]) -> List[int]:

@@ -27,7 +27,7 @@ from .errors import (
     SizeBudgetExceeded,
     UnknownElement,
 )
-from .exactla import _integer_row, determinant, lp_maximize, rank_exact, smith_divisors, solve_exact
+from .exactla import _integer_row, _solve_integer, determinant, lp_maximize, rank_exact, smith_divisors
 from .nerves import nerve
 from .posets import FinitePoset, _bits, poset_from_cover_dag
 from .semantics import UpsetAlgebra
@@ -37,8 +37,37 @@ RationalPoint = Tuple[Fraction, ...]
 SIMPLEX_BUDGET = 10**6
 
 
+class _Point(tuple):
+    """A rational point as a tuple of Fractions, made once where it enters the
+    package: it equals and hashes like the plain tuple, but its hash and its
+    integer homogeneous vector are computed once, and every simplex on it
+    shares the object, so set and dict lookups stop early on identity."""
+
+    def __new__(cls, coords: Iterable[Fraction]) -> "_Point":
+        point = tuple.__new__(cls, coords)
+        point._hash = tuple.__hash__(point)
+        return point
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return _Point, (tuple(self),)
+
+    @cached_property
+    def _text(self) -> str:
+        return _format_point(self)
+
+    @cached_property
+    def _homogeneous(self) -> Tuple[int, ...]:
+        """The primitive integer vector (q x, q), q the lcm of the denominators."""
+        return tuple(_integer_row((*self, 1))[0])
+
+
 def rational_point(coords: Iterable) -> RationalPoint:
-    return tuple(Fraction(c) for c in coords)
+    if type(coords) is _Point:
+        return coords
+    return _Point(Fraction(c) for c in coords)
 
 
 def _format_coord(value: Fraction) -> str:
@@ -57,25 +86,31 @@ class Simplex:
     vertices: Tuple[RationalPoint, ...]
 
     def __post_init__(self):
-        raw = tuple(tuple(Fraction(c) for c in v) for v in self.vertices)
+        raw = tuple(rational_point(v) for v in self.vertices)
         verts = tuple(sorted(set(raw)))
         if not verts:
-            raise ValueError("a simplex needs at least one vertex")
+            raise MalformedInput("a simplex needs at least one vertex")
         if len(verts) != len(raw):
             raise AffineDependence("repeated vertex")
         if len({len(v) for v in verts}) != 1:
-            raise ValueError("vertices must share an ambient dimension")
+            raise DimensionMismatch("vertices must share an ambient dimension")
         object.__setattr__(self, "vertices", verts)
-        if rank_exact(_homogenised(verts)) != len(verts):
+        if rank_exact(self._integer_matrix) != len(verts):
             raise AffineDependence(f"vertices are affinely dependent: {self.label()}")
 
     @classmethod
     def _trusted(cls, vertices: Iterable[RationalPoint]) -> "Simplex":
-        """A simplex on Fraction vertices already known to be distinct and
-        affinely independent: sorted, but neither normalised nor rank-checked.
-        For internal constructions only, never for outside input."""
+        """A simplex on points of this module already known to be distinct
+        and affinely independent: sorted, but neither normalised nor
+        rank-checked. For internal constructions only, never for outside
+        input."""
+        return cls._sorted(tuple(sorted(vertices)))
+
+    @classmethod
+    def _sorted(cls, vertices: Tuple[RationalPoint, ...]) -> "Simplex":
+        """_trusted on vertices already in sorted order."""
         simplex = object.__new__(cls)
-        object.__setattr__(simplex, "vertices", tuple(sorted(vertices)))
+        object.__setattr__(simplex, "vertices", vertices)
         return simplex
 
     @property
@@ -96,6 +131,14 @@ class Simplex:
         return tuple((min(axis), max(axis)) for axis in zip(*self.vertices))
 
     @cached_property
+    def _integer_matrix(self) -> Tuple[Tuple[int, ...], ...]:
+        """The rows of the matrix whose columns are the vertices' homogeneous
+        vectors: the vertices with a 1 appended, each column scaled to
+        integers. Its rank is the number of vertices exactly when they are
+        affinely independent."""
+        return tuple(zip(*(v._homogeneous for v in self.vertices)))
+
+    @cached_property
     def _hash(self) -> int:
         return hash((self.vertices,))  # the dataclass value: set orders stay as they were
 
@@ -103,19 +146,21 @@ class Simplex:
         return self._hash
 
     def label(self) -> str:
-        return "<" + ";".join(_format_point(v) for v in self.vertices) + ">"
+        return "<" + ";".join(v._text for v in self.vertices) + ">"
 
     def faces(self) -> List["Simplex"]:
         """Every nonempty sub-simplex, self included."""
-        k = len(self.vertices)
-        return [Simplex._trusted(self.vertices[i] for i in _bits(mask)) for mask in range(1, 1 << k)]
+        verts = self.vertices
+        return [Simplex._sorted(tuple(verts[i] for i in _bits(mask))) for mask in range(1, 1 << len(verts))]
 
     def is_face_of(self, other: "Simplex") -> bool:
         return self.vertex_set <= other.vertex_set
 
     def barycentre(self) -> RationalPoint:
-        k = len(self.vertices)
-        return tuple(sum(col, Fraction(0)) / k for col in zip(*self.vertices))
+        *rows, qs = self._integer_matrix
+        common = lcm(*qs)
+        weights = [common // q for q in qs]
+        return _Point(Fraction(sum(c * w for c, w in zip(row, weights)), common * len(qs)) for row in rows)
 
     def barycentric_coords(self, point: Sequence) -> Optional[Tuple[Fraction, ...]]:
         """Coefficients of the point over the vertices (summing to one), or
@@ -125,8 +170,14 @@ class Simplex:
             raise DimensionMismatch(
                 f"a point of Q^{len(point)} tested against a simplex in Q^{self.ambient_dim}"
             )
-        solution = solve_exact(_homogenised(self.vertices), (*point, 1))
-        return tuple(solution) if solution is not None else None
+        # the solution of sum_v m_v (q_v v, q_v) = (q p, q) is m_v = c_v q / q_v
+        q = point._homogeneous[-1]
+        tableau = [(*row, b) for row, b in zip(self._integer_matrix, point._homogeneous)]
+        solution = _solve_integer(tableau, len(self.vertices))
+        if solution is None:
+            return None
+        numerators, denom = solution
+        return tuple(Fraction(m * v._homogeneous[-1], denom * q) for m, v in zip(numerators, self.vertices))
 
     def contains(self, point: Sequence) -> bool:
         coords = self.barycentric_coords(point)
@@ -135,12 +186,6 @@ class Simplex:
     def relint_contains(self, point: Sequence) -> bool:
         coords = self.barycentric_coords(point)
         return coords is not None and all(c > 0 for c in coords)
-
-
-def _homogenised(vertices: Sequence[RationalPoint]) -> List[List]:
-    """The matrix whose columns are the vertices with a 1 appended: its rank
-    is the number of vertices exactly when they are affinely independent."""
-    return [list(axis) for axis in zip(*vertices)] + [[1] * len(vertices)]
 
 
 def barycentre(simplex: Simplex) -> RationalPoint:
@@ -168,7 +213,7 @@ class RationalComplex:
     def __init__(self, simplices: Iterable[Simplex], _trusted: bool = False):
         simplices = frozenset(simplices)
         if len({s.ambient_dim for s in simplices}) > 1:
-            raise ValueError("simplices must share an ambient space")
+            raise DimensionMismatch("simplices must share an ambient space")
         self.simplices = simplices
         if not _trusted:
             _check_complex(self)
@@ -179,7 +224,8 @@ class RationalComplex:
 
     @cached_property
     def sorted_simplices(self) -> Tuple[Simplex, ...]:
-        return tuple(sorted(self.simplices, key=lambda s: (s.dim, s.vertices)))
+        rank = {v: i for i, v in enumerate(self.vertices)}  # vertex tuples are sorted
+        return tuple(sorted(self.simplices, key=lambda s: (s.dim, tuple(rank[v] for v in s.vertices))))
 
     @cached_property
     def vertices(self) -> Tuple[RationalPoint, ...]:
@@ -237,7 +283,11 @@ class RationalComplex:
     def from_json(cls, text: str) -> "RationalComplex":
         payload = json.loads(text)
         try:
-            verts = [tuple(Fraction(num, den) for num, den in v) for v in payload["vertices"]]
+            if type(payload["dim"]) is not int:
+                raise MalformedInput("dim must be an integer")
+            if not all(_is_coordinate(c) for v in payload["vertices"] for c in v):
+                raise MalformedInput("a coordinate must be a pair of integers [numerator, denominator]")
+            verts = [_Point(Fraction(num, den) for num, den in v) for v in payload["vertices"]]
             for v in verts:
                 if len(v) != payload["dim"]:
                     raise MalformedInput("vertex dimension disagrees with the declared dim")
@@ -249,6 +299,10 @@ class RationalComplex:
         except (KeyError, TypeError, ZeroDivisionError) as exc:
             raise MalformedInput(f"malformed complex JSON: {exc!r}") from exc
         return validate_complex({face for s in tops for face in s.faces()})
+
+
+def _is_coordinate(pair) -> bool:
+    return type(pair) is list and len(pair) == 2 and all(type(x) is int for x in pair)
 
 
 def _bounding_boxes_apart(s: Simplex, t: Simplex) -> bool:
@@ -263,17 +317,20 @@ def _intersection_is_common_face(s: Simplex, t: Simplex) -> bool:
 
     Decided by LP: a common point is a pair of convex combinations agreeing
     coordinatewise; the intersection sticks out of the shared face iff some
-    such pair puts positive weight on a non-shared vertex."""
+    such pair puts positive weight on a non-shared vertex. The LP runs on
+    the integer matrices, in the weights divided by each vertex's q: a
+    positive rescaling of the variables, which keeps the answer."""
     if _bounding_boxes_apart(s, t):
         return True
     shared = s.vertex_set & t.vertex_set
     if len(shared) in (len(s.vertices), len(t.vertices)):
         return True  # one is a face of the other
-    ns, nt = len(s.vertices), len(t.vertices)
-    rows = [[v[x] for v in s.vertices] + [-w[x] for w in t.vertices] for x in range(s.ambient_dim)]
-    rows += [[1] * ns + [0] * nt, [0] * ns + [1] * nt]
+    *s_rows, s_q = s._integer_matrix
+    *t_rows, t_q = t._integer_matrix
+    rows = [[*a, *(-c for c in b)] for a, b in zip(s_rows, t_rows)]
+    rows += [[*s_q] + [0] * len(t_q), [0] * len(s_q) + [*t_q]]
     rhs = [0] * s.ambient_dim + [1, 1]
-    objective = [int(v not in shared) for v in s.vertices + t.vertices]
+    objective = [q * (v not in shared) for v, q in zip(s.vertices + t.vertices, s_q + t_q)]
     best = lp_maximize(rows, rhs, objective)
     if best is None:
         return True  # disjoint
@@ -400,16 +457,14 @@ def denominator(point: Sequence) -> int:
 
 def homogeneous(point: Sequence) -> Tuple[int, ...]:
     """The integer vector (q x, q) for q the denominator of x."""
-    return tuple(_integer_row((*rational_point(point), 1))[0])
+    return rational_point(point)._homogeneous
 
 
 def is_unimodular(simplex: Simplex) -> bool:
     """Whether the homogeneous vertex vectors extend to a basis of the
     integer lattice: all elementary divisors must be 1."""
-    columns = [homogeneous(v) for v in simplex.vertices]
-    matrix = [[col[r] for col in columns] for r in range(len(columns[0]))]
-    divisors = smith_divisors(matrix)
-    return len(divisors) == len(columns) and all(d == 1 for d in divisors)
+    divisors = smith_divisors(simplex._integer_matrix)
+    return len(divisors) == len(simplex.vertices) and all(d == 1 for d in divisors)
 
 
 def is_unimodular_complex(complex_: RationalComplex) -> bool:
@@ -422,10 +477,9 @@ def is_unimodular_complex(complex_: RationalComplex) -> bool:
 def farey_mediant(simplex: Simplex) -> RationalPoint:
     """The rational point whose homogeneous correspondent is the sum of the
     vertices'; always interior to the simplex."""
-    columns = [homogeneous(v) for v in simplex.vertices]
-    total = [sum(col) for col in zip(*columns)]
+    total = [sum(row) for row in simplex._integer_matrix]
     q = total[-1]
-    point = tuple(Fraction(c, q) for c in total[:-1])
+    point = _Point(Fraction(c, q) for c in total[:-1])
     if not simplex.relint_contains(point):
         raise RuntimeError("internal error: mediant left the relative interior")
     return point
@@ -495,7 +549,7 @@ def geometric_realization(poset: FinitePoset, budget: int = SIMPLEX_BUDGET) -> R
     isomorphism from the nerve onto the face poset before returning."""
     n = poset.n
     nrv = nerve(poset, budget=budget)
-    basis = [tuple(Fraction(1 if k == i else 0) for k in range(n)) for i in range(n)]
+    basis = [_Point(Fraction(1 if k == i else 0) for k in range(n)) for i in range(n)]
     simplices = [Simplex._trusted(basis[i] for i in _bits(mask)) for mask in nrv.chain_masks]
     complex_ = RationalComplex(simplices, _trusted=True)
     faces = face_poset(complex_)

@@ -4,7 +4,8 @@ The brute-force oracles only ever use itertools-style enumeration, never the
 package's own machinery beyond basic order lookups. The replaced algorithms
 kept as differential oracles (backtracking_isomorphism, stellar_subdivision,
 all_pairs_check_complex, scan_carrier, scan_open_star, pairwise_open_implies,
-per_face_stellar, volume_refinement_oracle, fraction_lp_maximize,
+per_face_stellar, volume_refinement_oracle, former_sorted_simplices,
+former_homogeneous, fraction_lp_maximize,
 fraction_solve_exact, fraction_rank_exact, fraction_determinant,
 naive_counter_valuation, staged_counter_valuation, completion_diamond_connected,
 completion_nerve_connected) reuse the package primitives they were built on:
@@ -16,6 +17,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import chain, combinations, product
+from math import lcm
 
 import pytest
 
@@ -375,6 +377,19 @@ def stellar_subdivision(complex_):
         if s.dim > 0:  # subdividing at a vertex is the identity
             current = elementary_stellar(current, s.barycentre())
     return current
+
+
+def former_sorted_simplices(complex_):
+    """The package's former sorted_simplices: by dimension, then by the
+    vertex tuples themselves, comparing Fractions coordinate by coordinate."""
+    return tuple(sorted(complex_.simplices, key=lambda s: (s.dim, s.vertices)))
+
+
+def former_homogeneous(point):
+    """The package's former homogeneous(): (q x, q) for q the lcm of the
+    coordinates' denominators, computed in Fractions."""
+    q = lcm(*(Fraction(c).denominator for c in point)) if point else 1
+    return tuple(int(Fraction(c) * q) for c in point) + (q,)
 
 
 def all_pairs_check_complex(simplices) -> None:

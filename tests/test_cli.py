@@ -143,9 +143,12 @@ def test_subdivide_budget_exits_2(capsys, tmp_path):
         json.dumps({"dim": 1, "vertices": [[[0, 1]], [[1, 1]]], "simplices": [[0, 2]]}),
         json.dumps({"dim": 1, "vertices": [[[0, 1]]], "simplices": [[]]}),
         json.dumps({"dim": 1, "vertices": [[[0, 1]], [[1, 1]]], "simplices": [[0, True]]}),
+        json.dumps({"dim": 1, "vertices": [[[True, 1]], [[0, 1]]], "simplices": [[0, 1]]}),
+        json.dumps({"dim": True, "vertices": [[[0, 1]], [[1, 1]]], "simplices": [[0, 1]]}),
+        json.dumps({"dim": 1, "vertices": [[[0, 1, 1]], [[1, 1]]], "simplices": [[0, 1]]}),
     ],
     ids=["empty-object", "list", "zero-denominator", "index-out-of-range", "empty-simplex",
-         "boolean-index"],
+         "boolean-index", "boolean-coordinate", "boolean-dim", "coordinate-triple"],
 )
 def test_malformed_complex_exits_2(capsys, tmp_path, text):
     path = tmp_path / "K.json"

@@ -1,4 +1,6 @@
+import hashlib
 import operator
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction as Fr
@@ -11,6 +13,7 @@ from polynerve.errors import (
     AffineDependence,
     BadIntersection,
     DimensionMismatch,
+    MalformedInput,
     NotDownwardClosed,
     NotUpwardClosed,
     PointOutsideSupport,
@@ -26,6 +29,8 @@ import conftest
 from conftest import (
     all_pairs_check_complex,
     brute_chains,
+    former_homogeneous,
+    former_sorted_simplices,
     fraction_lp_maximize,
     naive_evaluate,
     pairwise_open_implies,
@@ -81,6 +86,18 @@ def test_affine_dependence_rejected():
         Simplex((pt(0), pt(0)))
     with pytest.raises(AffineDependence, match=r"dependent: <0,0;1/2,1/2;2,2>$"):
         Simplex((pt(2, 2), pt(0, 0), pt(Fr(1, 2), Fr(1, 2))))
+
+
+def test_constructor_errors_are_polynerve_value_errors():
+    # the library's own error types, still ValueErrors for older callers
+    with pytest.raises(MalformedInput) as empty:
+        Simplex(())
+    with pytest.raises(DimensionMismatch) as mixed:
+        Simplex(((0,), (0, 1)))
+    with pytest.raises(DimensionMismatch) as spaces:
+        RationalComplex([Simplex((pt(0),)), Simplex((pt(0, 0),))])
+    for caught in (empty, mixed, spaces):
+        assert isinstance(caught.value, PolynerveError) and isinstance(caught.value, ValueError)
 
 
 def test_missing_face_rejected():
@@ -799,3 +816,76 @@ def test_formulas_read_on_the_polyhedron_match_the_face_poset():
                     )
                     for i, label in enumerate(faces.labels):
                         assert region.contains(by_label[label].barycentre()) == bool(value >> i & 1)
+
+
+# -- one object per point -----------------------------------------------------------------------------
+
+
+def _subdivision_chains(rng, count):
+    """Every complex along seeded chains: a random simplex of dimension 0-3
+    in Q^1-Q^3 with its faces, three stellar, Farey or barycentric moves, the
+    barycentric subdivision of the result, and its JSON round trip."""
+    for _ in range(count):
+        ambient = rng.randint(1, 3)
+        complex_ = pn.validate_complex(_random_simplex(rng, rng.randint(0, ambient), ambient).faces())
+        yield complex_
+        for _ in range(3):
+            move = rng.choice(("barycentric", "farey", "stellar"))
+            complex_ = pn.elementary_stellar(complex_, _point_of(rng, rng.choice(complex_.sorted_simplices), move))
+            yield complex_
+        subdivided = pn.barycentric_subdivision(complex_)
+        yield subdivided
+        yield RationalComplex.from_json(subdivided.to_json())
+
+
+def test_points_behave_as_plain_tuples():
+    # the cached hash, the rank order and the integer vectors give what the
+    # plain tuples of Fractions gave, and the complexes share one object per
+    # vertex
+    rng = random.Random(167)
+    seen = Counter()
+    for complex_ in _subdivision_chains(rng, 16):
+        assert complex_.sorted_simplices == former_sorted_simplices(complex_)
+        shared = {v: v for v in complex_.vertices}
+        for s in complex_.simplices:
+            plain = tuple(tuple(v) for v in s.vertices)
+            assert hash(s) == hash((plain,))
+            assert all(v is shared[v] for v in s.vertices)
+            assert all(v is w for v, w in zip(Simplex(s.vertices).vertices, s.vertices))
+        for v in complex_.vertices:
+            assert type(tuple(v)) is tuple and v == tuple(v) and hash(v) == hash(tuple(v))
+            assert v._homogeneous == pn.homogeneous(tuple(v)) == former_homogeneous(v)
+            again = pickle.loads(pickle.dumps(v))
+            assert again == v and hash(again) == hash(v)
+        seen[complex_.ambient_dim] += 1
+        seen["simplices"] += len(complex_)
+    assert all(seen[d] > 10 for d in (1, 2, 3)) and seen["simplices"] > 2000
+
+
+# complex_to_json digests recorded before points cached their hash, order and
+# integer vectors: the representation moves no set order and no output byte
+PINNED_OUTPUTS = {
+    "derived": "ae0938c4627193151470d563c45aa9344bf151d501db6b5e0e8efb5c8b974108",
+    "tetrahedron": "95ab0729d79196cbde6aa38b88b6a381f42e39aad68704837d3843e98c0d75b7",
+    "realization": "6da9be994e71ed6d5c235aee3f150d9278ab56eb91d2c147cab1dffd7ea3f4ee",
+    "farey": "afb5850f3f57153f6453f791430e32f97d7a1b84ae71e3e53fc74e4f6f63e516",
+}
+
+
+def test_output_bytes_are_pinned(triangle):
+    tetrahedron = full_complex(
+        pt(0, 0, 0), pt(Fr(3, 2), Fr(1, 3), 0), pt(Fr(-1, 2), 2, Fr(1, 4)), pt(Fr(1, 3), Fr(-1, 2), Fr(5, 3))
+    )
+    poset = validate_poset(list("abcdef"), [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d"), ("c", "e"), ("a", "f")])
+    rng = random.Random(2021)
+    farey = triangle
+    for _ in range(5):
+        farey = pn.elementary_farey(farey, farey.sorted_simplices[rng.randrange(len(farey))])
+    outputs = {
+        "derived": pn.derived(triangle, 3),
+        "tetrahedron": pn.barycentric_subdivision(tetrahedron),
+        "realization": pn.geometric_realization(poset),
+        "farey": farey,
+    }
+    digests = {name: hashlib.sha256(c.to_json().encode()).hexdigest() for name, c in outputs.items()}
+    assert digests == PINNED_OUTPUTS
