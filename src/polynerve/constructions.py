@@ -21,7 +21,15 @@ from .errors import (
 )
 from .morphisms import PMorphism, compose, is_up_reduction
 from .nerves import nerve_is_alpha_connected
-from .posets import FinitePoset, height, is_graded, tree_unravelling, validate_poset
+from .posets import (
+    FinitePoset,
+    _bits,
+    _chain_index_at,
+    height,
+    is_graded,
+    tree_unravelling,
+    validate_poset,
+)
 from .semantics import scott_frame_conditions, validates_sfl
 from .signatures import DIFORK, SCOTT, Signature
 from .starlike import is_alpha_connected, is_alpha_nerve_connected
@@ -86,30 +94,7 @@ def _verify_witness(result: ConstructionResult) -> None:
 
 def _tree_meet(tree: FinitePoset, i: int, j: int) -> int:
     """Meet of two tree elements: the top of their shared prefix."""
-    common = tree.down_mask(i) & tree.down_mask(j)
-    best = -1
-    best_h = -1
-    m = common
-    while m:
-        b = m & -m
-        m ^= b
-        k = b.bit_length() - 1
-        if tree.heights[k] > best_h:
-            best_h = tree.heights[k]
-            best = k
-    return best
-
-
-def _prefix_at(tree: FinitePoset, i: int, target_height: int) -> int:
-    """The element of the branch below i sitting at the given height."""
-    m = tree.down_mask(i)
-    while m:
-        b = m & -m
-        m ^= b
-        k = b.bit_length() - 1
-        if tree.heights[k] == target_height:
-            return k
-    raise ValueError(f"no prefix of height {target_height} below element {i}")
+    return max(_bits(tree.down_mask(i) & tree.down_mask(j)), key=tree.heights.__getitem__)
 
 
 def _contype_preserved_on(
@@ -405,7 +390,7 @@ def nervify(
         if rank_u == 0:
             continue  # the whole poset is a single point
         for t in group:
-            pen = _prefix_at(tree, t, rank_u - 1)
+            pen = _chain_index_at(tree, t, rank_u - 1)
             pen_of[t] = pen
             incident.setdefault(pen, []).append(u)
 
@@ -503,8 +488,8 @@ def nervify(
         for j, lab in enumerate(labels, start=1):
             if j > 1:
                 edges.append((labels[j - 2], lab))
-            edges.append((tree.labels[_prefix_at(tree, p, bottom + j)], lab))
-            edges.append((tree.labels[_prefix_at(tree, q, bottom + j)], lab))
+            edges.append((tree.labels[_chain_index_at(tree, p, bottom + j)], lab))
+            edges.append((tree.labels[_chain_index_at(tree, q, bottom + j)], lab))
         return labels
 
     def build_ladders():

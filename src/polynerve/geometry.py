@@ -285,6 +285,10 @@ class RationalComplex:
         try:
             if type(payload["dim"]) is not int:
                 raise MalformedInput("dim must be an integer")
+            if payload["dim"] < 0:
+                raise MalformedInput("dim must be nonnegative")
+            if payload["dim"] and not payload["vertices"]:
+                raise MalformedInput("a complex with no vertices must have dim 0")
             if not all(_is_coordinate(c) for v in payload["vertices"] for c in v):
                 raise MalformedInput("a coordinate must be a pair of integers [numerator, denominator]")
             verts = [_Point(Fraction(num, den) for num, den in v) for v in payload["vertices"]]

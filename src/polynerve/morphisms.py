@@ -11,6 +11,7 @@ from typing import Dict, FrozenSet, List, Optional
 
 from .errors import (
     DomainNotUpClosed,
+    MalformedInput,
     NotComparableSignatures,
     SearchBudgetExceeded,
     TargetNotRooted,
@@ -59,7 +60,14 @@ class PMorphism:
     @classmethod
     def from_json(cls, text: str, source: FinitePoset, target: FinitePoset) -> "PMorphism":
         payload = json.loads(text)
-        return cls(source, target, frozenset(payload["domain"]), dict(payload["map"]))
+        if not isinstance(payload, dict) or not {"domain", "map"} <= payload.keys():
+            raise MalformedInput("p-morphism JSON must be an object with 'domain' and 'map'")
+        domain, mapping = payload["domain"], payload["map"]
+        if not isinstance(domain, list) or not all(isinstance(x, str) for x in domain):
+            raise MalformedInput("p-morphism JSON 'domain' must be a list of strings")
+        if not isinstance(mapping, dict) or not all(isinstance(v, str) for v in mapping.values()):
+            raise MalformedInput("p-morphism JSON 'map' must be an object from strings to strings")
+        return cls(source, target, frozenset(domain), mapping)
 
 
 def _domain_mask(f: PMorphism) -> int:
@@ -69,11 +77,8 @@ def _domain_mask(f: PMorphism) -> int:
 def _check_domain_up_closed(f: PMorphism) -> int:
     mask = _domain_mask(f)
     src = f.source
-    m = mask
-    while m:
-        b = m & -m
-        m ^= b
-        if src.up_mask(b.bit_length() - 1) & ~mask:
+    for i in _bits(mask):
+        if src.up_mask(i) & ~mask:
             raise DomainNotUpClosed("the declared domain is not upward-closed")
     return mask
 
@@ -83,26 +88,14 @@ def is_p_morphism(f: PMorphism) -> bool:
     mask = _check_domain_up_closed(f)
     src, tgt = f.source, f.target
     idx = [None] * src.n
-    m = mask
-    while m:
-        b = m & -m
-        m ^= b
-        i = b.bit_length() - 1
+    for i in _bits(mask):
         idx[i] = tgt.index(f.mapping[src.labels[i]])
-    m = mask
-    while m:
-        b = m & -m
-        m ^= b
-        i = b.bit_length() - 1
+    for i in _bits(mask):
         fi = idx[i]
         # forth: everything above i maps above f(i)
         image_above = 0
-        above = src.strict_up_mask(i)  # subset of mask since domain up-closed
-        a = above
-        while a:
-            ab = a & -a
-            a ^= ab
-            j = ab.bit_length() - 1
+        # the strict upset lies in the mask, since the domain is up-closed
+        for j in _bits(src.strict_up_mask(i)):
             if not (tgt.up_mask(fi) >> idx[j]) & 1:
                 return False
             image_above |= 1 << idx[j]
@@ -232,7 +225,7 @@ def _search_up_reduction(
                     image |= 1 << v
                 return image == target.full_mask
             i = order[k]
-            above = poset.strict_up_mask(i) & poset.up_mask(apex)
+            above = tuple(_bits(poset.strict_up_mask(i) & poset.up_mask(apex)))
             for v in value_order:
                 visited += 1
                 if visited > budget:
@@ -242,11 +235,7 @@ def _search_up_reduction(
                 # forth against everything already assigned above i
                 ok = True
                 image_above = 0
-                m = above
-                while m:
-                    b = m & -m
-                    m ^= b
-                    j = b.bit_length() - 1
+                for j in above:
                     fj = assignment[j]  # assigned: higher elements come first
                     if not (target.up_mask(v) >> fj) & 1:
                         ok = False

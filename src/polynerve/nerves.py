@@ -28,10 +28,7 @@ class NervePoset(FinitePoset):
 
 
 def _chain_label(base: FinitePoset, mask: int) -> str:
-    members = sorted(
-        (i for i in range(base.n) if (mask >> i) & 1),
-        key=lambda i: (base.heights[i], i),
-    )
+    members = sorted(_bits(mask), key=lambda i: (base.heights[i], i))
     return "(" + "|".join(base.labels[i] for i in members) + ")"
 
 
@@ -53,11 +50,8 @@ def nerve(poset: FinitePoset, budget: int = SIZE_BUDGET) -> NervePoset:
     covers: List[List[int]] = [[] for _ in chains]
     for k, m in enumerate(chains):
         # removing one element of a chain yields exactly the chains it covers
-        mm = m
-        while mm:
-            b = mm & -mm
-            mm ^= b
-            smaller = m ^ b
+        for i in _bits(m):
+            smaller = m ^ (1 << i)
             if smaller:
                 covers[position[smaller]].append(k)
     nerve_poset = poset_from_cover_dag(labels, covers)
@@ -82,10 +76,7 @@ def max_map(poset: FinitePoset, budget: int = SIZE_BUDGET) -> PMorphism:
     nrv = nerve(poset, budget=budget)
     mapping = {}
     for label, mask in zip(nrv.labels, nrv.chain_masks):
-        top = max(
-            (i for i in range(poset.n) if (mask >> i) & 1),
-            key=lambda i: poset.heights[i],
-        )
+        top = max(_bits(mask), key=poset.heights.__getitem__)
         mapping[label] = poset.labels[top]
     witness = PMorphism(nrv, poset, frozenset(nrv.labels), mapping)
     if not is_up_reduction(witness):

@@ -49,7 +49,7 @@ def alpha_blocks(poset: FinitePoset, mask: int, k: int) -> List[int]:
     slots in descending height order (ties in the order ``component_masks``
     lists them), and surplus components are merged into the first slot (any
     open superset keeps the required height)."""
-    blocks = sorted(poset.component_masks(mask), key=lambda c: -poset.mask_height(c))
+    blocks = [c for c, _ in sorted(poset._typed_components(mask), key=lambda ch: -ch[1])]
     for surplus in blocks[k:]:
         blocks[0] |= surplus
     return blocks[:k]

@@ -2,16 +2,16 @@
 naive brute-force oracles that the fast implementations are tested against.
 The brute-force oracles only ever use itertools-style enumeration, never the
 package's own machinery beyond basic order lookups. The replaced algorithms
-kept as differential oracles (backtracking_isomorphism, stellar_subdivision,
-all_pairs_check_complex, scan_carrier, scan_open_star, pairwise_open_implies,
-per_face_stellar, volume_refinement_oracle, former_sorted_simplices,
-former_homogeneous, fraction_lp_maximize,
+kept as differential oracles (exhaustive_width, backtracking_isomorphism,
+stellar_subdivision, all_pairs_check_complex, scan_carrier, scan_open_star,
+pairwise_open_implies, per_face_stellar, volume_refinement_oracle,
+former_sorted_simplices, former_homogeneous, fraction_lp_maximize,
 fraction_solve_exact, fraction_rank_exact, fraction_determinant,
 naive_counter_valuation, staged_counter_valuation, completion_diamond_connected,
 completion_nerve_connected) reuse the package primitives they were built on:
-elementary stellar moves, the exact-LP intersection test, barycentric
-coordinates, the face relation of simplices, the upset listing and the
-completion with a synthetic top."""
+the comparability masks, elementary stellar moves, the exact-LP intersection
+test, barycentric coordinates, the face relation of simplices, the upset
+listing and the completion with a synthetic top."""
 from __future__ import annotations
 
 import random
@@ -299,6 +299,22 @@ def _is_p_morphism_bruteforce(poset, target, mapping) -> bool:
                 ):
                     return False
     return True
+
+
+def exhaustive_width(poset: FinitePoset) -> int:
+    """The package's former width: the largest antichain found by growing
+    every antichain in index order."""
+    best = 0
+
+    def grow(i: int, chosen: int, size: int):
+        nonlocal best
+        best = max(best, size)
+        for j in range(i, poset.n):
+            if not chosen & (poset.up_mask(j) | poset.down_mask(j)):
+                grow(j + 1, chosen | 1 << j, size + 1)
+
+    grow(0, 0, 0)
+    return best
 
 
 def backtracking_isomorphism(poset: FinitePoset, other: FinitePoset):

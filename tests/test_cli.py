@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -146,9 +147,12 @@ def test_subdivide_budget_exits_2(capsys, tmp_path):
         json.dumps({"dim": 1, "vertices": [[[True, 1]], [[0, 1]]], "simplices": [[0, 1]]}),
         json.dumps({"dim": True, "vertices": [[[0, 1]], [[1, 1]]], "simplices": [[0, 1]]}),
         json.dumps({"dim": 1, "vertices": [[[0, 1, 1]], [[1, 1]]], "simplices": [[0, 1]]}),
+        json.dumps({"dim": -1, "vertices": [], "simplices": []}),
+        json.dumps({"dim": 3, "vertices": [], "simplices": []}),
     ],
     ids=["empty-object", "list", "zero-denominator", "index-out-of-range", "empty-simplex",
-         "boolean-index", "boolean-coordinate", "boolean-dim", "coordinate-triple"],
+         "boolean-index", "boolean-coordinate", "boolean-dim", "coordinate-triple",
+         "negative-dim", "empty-with-dim"],
 )
 def test_malformed_complex_exits_2(capsys, tmp_path, text):
     path = tmp_path / "K.json"
@@ -261,6 +265,17 @@ def test_census_determinism_and_agreement(capsys):
     header, body = rows[0], rows[1:]
     agree = header.index("agree")
     assert body and all(row[agree] == "true" for row in body)
+
+
+def test_census_output_is_pinned(capsys):
+    """The census bytes, pinned: heights, types and witnesses feed every row."""
+    code, out, _ = run(
+        capsys,
+        ["census", "--size", "7", "--samples", "200", "--seed", "0", "--lambda", "2,1^3,2.1,2^2,3.1"],
+    )
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "5a402a0fb41d10a7e14f56ab1862228bd8df37765571d141453e0a021e460b1a"
 
 
 def test_census_rejects_size_zero(capsys):

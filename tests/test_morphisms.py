@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as Fr
 
@@ -7,6 +8,7 @@ import polynerve as pn
 from polynerve import PMorphism, Signature, validate_poset
 from polynerve.errors import (
     DomainNotUpClosed,
+    MalformedInput,
     NotComparableSignatures,
     SearchBudgetExceeded,
     TargetNotRooted,
@@ -58,6 +60,24 @@ def test_witness_serialisation(theta_frame):
     f = pn.max_map(theta_frame)
     back = PMorphism.from_json(f.to_json(), f.source, f.target)
     assert back.mapping == f.mapping and back.domain == f.domain
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{}",
+        "[]",
+        "null",
+        json.dumps({"domain": "ab", "map": {"a": "a", "b": "b"}}),
+        json.dumps({"domain": ["a", "b"], "map": [["a", "a"], ["b", "b"]]}),
+        json.dumps({"domain": ["a", "b"], "map": {"a": "a", "b": 1}}),
+    ],
+    ids=["empty-object", "list", "null", "string-domain", "pair-list-map", "integer-value"],
+)
+def test_malformed_morphism_json(text):
+    pair = validate_poset(["a", "b"], [])
+    with pytest.raises(MalformedInput):
+        PMorphism.from_json(text, pair, pair)
 
 
 # -- find_up_reduction --------------------------------------------------------------

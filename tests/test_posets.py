@@ -1,8 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import polynerve as pn
 from polynerve import Signature, validate_poset
+from polynerve.starlike import alpha_blocks
 from polynerve.errors import (
     CycleDetected,
     EmptyPoset,
@@ -11,14 +14,15 @@ from polynerve.errors import (
     NotATree,
     NotComparable,
     NotRooted,
-    SizeBudgetExceeded,
     UnknownElement,
 )
 
 from conftest import (
+    _longest_chain_size,
     brute_chains,
     brute_components,
     brute_is_graded,
+    exhaustive_width,
     make_antichain,
     make_chain,
     sample_posets,
@@ -91,8 +95,14 @@ def test_width(theta_frame):
     assert pn.width(theta_frame) == 2  # {a1, b}
     assert pn.width(make_chain(5)) == 1
     assert pn.width(make_antichain(4)) == 4
-    with pytest.raises(SizeBudgetExceeded):
-        pn.width(make_antichain(21))
+    assert pn.width(make_antichain(21)) == 21
+    with pytest.raises(EmptyPoset):
+        pn.width(validate_poset([], []))
+
+
+def test_width_matches_exhaustive_search():
+    for poset in sample_posets(120, 12, seed=17):
+        assert pn.width(poset) == exhaustive_width(poset)
 
 
 # -- components and connectedness types ----------------------------------------------
@@ -218,6 +228,74 @@ def test_chain_element_at():
         pn.chain_element_at(make_antichain(2), "x0", 0)
 
 
+# -- the order kernel on arbitrary masks -------------------------------------------------------
+
+
+def _kernel_cases(seed):
+    """Seeded posets of up to 9 elements, each with random sub-masks."""
+    rng = random.Random(seed)
+    for poset in sample_posets(40, 9, seed=seed):
+        masks = {0, poset.full_mask} | {rng.getrandbits(poset.n) for _ in range(6)}
+        yield poset, sorted(masks)
+
+
+def test_heights_and_depths_match_longest_chains():
+    for poset, _ in _kernel_cases(23):
+        for x in poset.labels:
+            below = [y for y in poset.labels if poset.leq(y, x)]
+            above = [y for y in poset.labels if poset.leq(x, y)]
+            assert pn.height_of(poset, x) == _longest_chain_size(poset, below) - 1
+            assert pn.depth_of(poset, x) == _longest_chain_size(poset, above) - 1
+
+
+def test_mask_kernel_matches_oracles():
+    for poset, masks in _kernel_cases(29):
+        for mask in masks:
+            members = poset.labels_of(mask)
+            assert poset.mask_height(mask) == _longest_chain_size(poset, members) - 1
+            sub = poset.restrict(members)
+            comps = brute_components(sub)
+            want = sorted((_longest_chain_size(sub, c) for c in comps), reverse=True)
+            assert poset.contype_of_mask(mask) == tuple(want)
+
+
+def test_alpha_blocks_are_an_alpha_partition():
+    rng = random.Random(31)
+    for poset, masks in _kernel_cases(31):
+        for mask in masks:
+            contype = poset.contype_of_mask(mask)
+            for _ in range(4):
+                alpha = Signature.from_heights(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
+                if not alpha.splits(contype):
+                    continue
+                blocks = alpha_blocks(poset, mask, alpha.size)
+                assert len(blocks) == alpha.size
+                covered = 0
+                for block, want in zip(blocks, alpha.heights):
+                    assert block and not block & covered and not block & ~mask
+                    covered |= block
+                    for i in range(poset.n):
+                        if block >> i & 1:
+                            assert not poset.up_mask(i) & mask & ~block  # up-closed in mask
+                    assert _longest_chain_size(poset, poset.labels_of(block)) >= want
+                assert covered == mask
+
+
+def test_chain_element_at_on_tree_unravellings():
+    for poset in sample_posets(15, 6, seed=37, rooted=True):
+        tree, _ = pn.tree_unravelling(poset)
+        for x in tree.labels:
+            h = pn.height_of(tree, x)
+            below = [y for y in tree.labels if tree.leq(y, x)]
+            for k in range(-h, h + 1):
+                y = pn.chain_element_at(tree, x, k)
+                assert y in below
+                assert pn.height_of(tree, y) == (h + k if k < 0 else k)
+            for k in (h + 1, -h - 1):
+                with pytest.raises(IndexOutOfRange):
+                    pn.chain_element_at(tree, x, k)
+
+
 # -- chains ---------------------------------------------------------------------------------
 
 
@@ -227,6 +305,8 @@ def test_chain_count_matches_oracle(theta_frame):
         chains = {poset.labels_of(m) for m in poset.iter_chain_masks()}
         assert chains == set(brute_chains(poset))
         assert poset.count_chains() == len(chains)
+    for poset, _ in _kernel_cases(41):
+        assert poset.count_chains() == len(brute_chains(poset))
 
 
 # -- serialisation -----------------------------------------------------------------------------
