@@ -34,7 +34,6 @@ from . import (
     nervify,
     random_rooted_poset,
     starlike_witness,
-    validates_jankov,
     validate_poset,
 )
 from .errors import PolynerveError
@@ -137,12 +136,20 @@ def cmd_contype(args) -> int:
     return 0
 
 
-def cmd_jankov(args) -> int:
+def _reduction_onto_tree(poset: FinitePoset, alpha: Signature):
+    """An up-reduction onto the starlike tree of ``alpha``, or None. It is
+    onto, so a tree with more elements (1 + sum of n*m over the entries)
+    than the frame is never built."""
     from .starlike import starlike_tree
 
+    if 1 + sum(n * m for n, m in alpha.entries) > poset.n:
+        return None
+    return find_up_reduction(poset, starlike_tree(alpha))
+
+
+def cmd_jankov(args) -> int:
     poset = _load_poset(args)
-    target = starlike_tree(Signature.parse(args.target))
-    witness = find_up_reduction(poset, target)
+    witness = _reduction_onto_tree(poset, Signature.parse(args.target))
     holds = witness is None
     extra = {} if holds else {"witness": json.loads(witness.to_json())}
     _emit(_result_payload("jankov", holds, target=args.target, **extra), args.output)
@@ -204,8 +211,6 @@ def cmd_census(args) -> int:
         raise argparse.ArgumentTypeError("census size must be at least 1")
     if args.size > 8:
         raise argparse.ArgumentTypeError("census size is capped at 8")
-    from .starlike import starlike_tree
-
     alphas = _parse_lambda(args.lambdas) if args.lambdas else [Signature.parse("2.1")]
     rng = random.Random(args.seed)
     out = io.StringIO()
@@ -216,7 +221,7 @@ def cmd_census(args) -> int:
         poset = random_rooted_poset(size, rng)
         for alpha in alphas:
             connected = is_alpha_connected(poset, alpha)
-            jankov = validates_jankov(poset, starlike_tree(alpha))
+            jankov = _reduction_onto_tree(poset, alpha) is None
             nerve_conn = is_alpha_nerve_connected(poset, alpha)
             writer.writerow(
                 [

@@ -11,21 +11,12 @@ from numbers import Rational
 from typing import Dict, List, Optional, Sequence, Tuple
 
 
-def solve_exact(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Optional[List[Fraction]]:
-    """One exact solution of A x = b, or None if the system is inconsistent.
-    The system may be over- or under-determined; free variables are set to 0."""
-    cols = len(matrix[0]) if matrix else 0
-    solution = _solve_integer([_integer_row([*row, b])[0] for row, b in zip(matrix, rhs)], cols)
-    if solution is None:
-        return None
-    numerators, denom = solution
-    return [Fraction(m, denom) for m in numerators]
-
-
 def _solve_integer(tableau: List[Sequence[int]], width: int) -> Optional[Tuple[List[int], int]]:
-    """solve_exact on an integer tableau [A | b] of `width` unknowns: the
-    solution's numerators over one common denominator, or None. The list's
-    rows are replaced, never changed in place, so they may be shared tuples."""
+    """One exact solution of A x = b, given as the integer tableau [A | b]
+    of `width` unknowns, free unknowns set to 0: the solution's numerators
+    over one common denominator, or None if the system is inconsistent. The
+    list's rows are replaced, never changed in place, so they may be shared
+    tuples."""
     pivots, denom, _ = _eliminate(tableau, width)
     if any(row[-1] for i, row in enumerate(tableau) if i not in pivots):
         return None

@@ -9,10 +9,10 @@ implication into falsum. The grammar is the CLI-facing one:
 
 Variables match [a-z][a-z0-9]*. Chains of | and & are read in loops and
 may be any length. Parentheses, negations and the right operands of -> nest:
-the parser refuses a formula with more than MAX_NESTING of them open at once,
-or one nested too deeply for the interpreter's stack (parentheses cost the
-most). print_formula is the exact inverse of parse_formula on its own output
-within those limits.
+the parser refuses a formula with more than MAX_NESTING of them open at once.
+Neither the parser nor the printer recurses, so that limit is the only one.
+print_formula is the exact inverse of parse_formula on its own output within
+it.
 """
 from __future__ import annotations
 
@@ -146,97 +146,64 @@ def _tokenize(text: str):
     return tokens
 
 
+_INFIX = {"->": (1, Imp), "|": (2, Or), "&": (3, And)}  # precedence levels
+
+
 def parse_formula(text: str) -> Formula:
+    """One operator-precedence loop over a stack of pending "(" and "~"
+    entries and (level, connective, left operand) entries. The nesting
+    depth is the number of "(", "~" and "->" entries on the stack."""
     tokens = _tokenize(text)
-    index = 0
-    depth = 0  # parentheses, negations and right operands of -> open
-
-    def nest(levels: int) -> None:
-        nonlocal depth
-        depth += levels
-        if depth > MAX_NESTING:
-            fail("formula is nested too deeply")
-
-    def peek():
-        return tokens[index][0] if index < len(tokens) else None
-
-    def take():
-        nonlocal index
-        tok = tokens[index]
-        index += 1
-        return tok
+    stack: list = []
+    depth = index = 0
+    node = None  # the operand just read, or None while one is expected
 
     def fail(message):
         at = tokens[index][1] if index < len(tokens) else len(text)
         raise ParseError(message, at)
 
-    def atom() -> Formula:
-        tok = peek()
-        if tok is None:
-            fail("formula ended unexpectedly")
-        if tok == "(":
-            take()
-            nest(1)
-            inner = implication()
-            if peek() != ")":
-                fail("expected ')'")
-            take()
-            nest(-1)
-            return inner
-        if tok == "T":
-            take()
-            return TRUE
-        if tok == "F":
-            take()
-            return FALSE
-        if re.fullmatch(r"[a-z][a-z0-9]*", tok):
-            take()
-            return Var(tok)
-        fail(f"expected an atom, found {tok!r}")
-
-    def unary() -> Formula:
-        negations = 0
-        while peek() == "~":
-            take()
-            nest(1)
-            negations += 1
-        node = atom()
-        if negations:
-            nest(-negations)
-            for _ in range(negations):
-                node = Neg(node)
-        return node
-
-    def conj() -> Formula:
-        node = unary()
-        while peek() == "&":
-            take()
-            node = And(node, unary())
-        return node
-
-    def disj() -> Formula:
-        node = conj()
-        while peek() == "|":
-            take()
-            node = Or(node, conj())
-        return node
-
-    def implication() -> Formula:
-        node = disj()
-        if peek() == "->":
-            take()
-            nest(1)
-            node = Imp(node, implication())
-            nest(-1)
-        return node
-
-    try:
-        result = implication()
-    except RecursionError:
-        fail("formula is nested too deeply")
-    if index != len(tokens):
-        fail(f"trailing input {tokens[index][0]!r}")
-    return result
+    while True:
+        if depth > MAX_NESTING:
+            fail("formula is nested too deeply")
+        tok = tokens[index][0] if index < len(tokens) else None
+        if node is None:
+            if tok is None:
+                fail("formula ended unexpectedly")
+            if tok in _INFIX or tok == ")":
+                fail(f"expected an atom, found {tok!r}")
+            index += 1
+            if tok == "(" or tok == "~":
+                stack.append(tok)
+                depth += 1
+                continue
+            node = TRUE if tok == "T" else FALSE if tok == "F" else Var(tok)
+        elif tok in _INFIX:
+            level, kind = _INFIX[tok]
+            # & and | group to the left, -> to the right
+            while stack and type(stack[-1]) is tuple and stack[-1][0] >= max(level, 2):
+                _, connective, left = stack.pop()
+                node = connective(left, node)
+            index += 1
+            stack.append((level, kind, node))
+            node = None
+            depth += level == 1
+            continue
+        else:  # the operand is complete up to the innermost open "("
+            while stack and type(stack[-1]) is tuple:
+                level, connective, left = stack.pop()
+                depth -= level == 1
+                node = connective(left, node)
+            if tok != ")" or not stack:
+                if tok is None and not stack:
+                    return node
+                fail("expected ')'" if stack else f"trailing input {tok!r}")
+            stack.pop()
+            depth -= 1
+            index += 1
+        while stack and stack[-1] == "~":
+            stack.pop()
+            depth -= 1
+            node = Neg(node)
 
 
 # precedence levels: -> 1, | 2, & 3, ~ 4, atoms 5. The text is written from

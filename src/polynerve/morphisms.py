@@ -151,6 +151,8 @@ def find_up_reduction(
     root = target.root()
     if root is None:
         raise TargetNotRooted("up-reduction targets must be rooted")
+    if target.n > poset.n:
+        return None  # an up-reduction is onto
     root_idx = target.index(root)
     down, up = target.covers_down, target.covers_up
     if any(
@@ -186,78 +188,34 @@ def _search_up_reduction(
     poset: FinitePoset, target: FinitePoset, budget: int = SEARCH_BUDGET
 ) -> Optional[PMorphism]:
     """Backtracking search for a pointed up-reduction onto the rooted
-    ``target``, visiting at most ``budget`` states. Apexes are tried by
+    ``target``, trying at most ``budget`` values in all. Apexes are tried by
     decreasing height, then index; non-apex elements by decreasing height,
-    each taking fibre values by target height from the root."""
+    each taking values by target height from the root (root excluded)."""
     root_idx = target.index(target.root())
-    tgt_n = target.n
-    # candidate values for non-apex elements, root excluded
-    value_order = sorted(
-        (j for j in range(tgt_n) if j != root_idx),
-        key=lambda j: (target.heights[j], j),
+    values = sorted(
+        (j for j in range(target.n) if j != root_idx), key=lambda j: (target.heights[j], j)
     )
-    apexes = sorted(range(poset.n), key=lambda i: (-poset.heights[i], i))
-    visited = 0
+    refusal = f"up-reduction search exceeded {budget} states"
 
-    for apex in apexes:
-        if poset.heights and target.heights:
-            if max(
-                poset.heights[j]
-                for j in _bits(poset.up_mask(apex))
-            ) - poset.heights[apex] < max(target.heights):
-                continue  # not enough height above the apex
-        domain_bits = [
-            i
-            for i in sorted(
-                _bits(poset.up_mask(apex)),
-                key=lambda i: (-poset.heights[i], i),
-            )
-        ]
-        assignment: Dict[int, int] = {apex: root_idx}
-        order = [i for i in domain_bits if i != apex]  # decreasing height
+    def fits(i, v, assignment):
+        # forth and back at i: the elements above i, assigned first, map into
+        # up(v) and onto all of it but perhaps v
+        image_above = 0
+        for j in _bits(poset.strict_up_mask(i)):
+            image_above |= 1 << assignment[j]
+        return image_above | 1 << v == target.up_mask(v)
 
-        def assign(k: int) -> bool:
-            nonlocal visited
-            if k == len(order):
-                # back condition at the apex: image must cover the target
-                image = 0
-                for v in assignment.values():
-                    image |= 1 << v
-                return image == target.full_mask
-            i = order[k]
-            above = tuple(_bits(poset.strict_up_mask(i) & poset.up_mask(apex)))
-            for v in value_order:
-                visited += 1
-                if visited > budget:
-                    raise SearchBudgetExceeded(
-                        f"up-reduction search exceeded {budget} states"
-                    )
-                # forth against everything already assigned above i
-                ok = True
-                image_above = 0
-                for j in above:
-                    fj = assignment[j]  # assigned: higher elements come first
-                    if not (target.up_mask(v) >> fj) & 1:
-                        ok = False
-                        break
-                    image_above |= 1 << fj
-                if not ok:
-                    continue
-                # back at i is fully checkable now
-                if target.strict_up_mask(v) & ~image_above:
-                    continue
-                assignment[i] = v
-                if assign(k + 1):
-                    return True
-                del assignment[i]
-            return False
-
-        if assign(0):
-            domain = frozenset(poset.labels[i] for i in domain_bits)
-            mapping = {
-                poset.labels[i]: target.labels[v] for i, v in assignment.items()
-            }
-            witness = PMorphism(poset, target, domain, mapping)
+    for apex in sorted(range(poset.n), key=lambda i: (-poset.heights[i], i)):
+        domain = poset.up_mask(apex)
+        if max(poset.heights[j] for j in _bits(domain)) - poset.heights[apex] < max(target.heights):
+            continue  # not enough height above the apex
+        order = sorted(_bits(domain ^ 1 << apex), key=lambda i: (-poset.heights[i], i))
+        assignment, tries = _onto_assignment(order, values, fits, budget, refusal)
+        budget -= tries
+        if assignment is not None:
+            mapping = {poset.labels[apex]: target.labels[root_idx]}
+            mapping.update((poset.labels[i], target.labels[v]) for i, v in assignment.items())
+            witness = PMorphism(poset, target, poset.labels_of(domain), mapping)
             if not is_up_reduction(witness):
                 raise RuntimeError("internal error: search returned a bad witness")
             return witness
@@ -377,49 +335,51 @@ def exists_monotone_surjection(
     """Whether some order-preserving onto map poset -> other exists."""
     if other.is_empty:
         return poset.is_empty
-    if poset.n < other.n:
-        return False
+
+    def fits(i, v, assignment):
+        # the elements below i come first, by height, and must map below v
+        return all(other.up_mask(assignment[j]) >> v & 1 for j in _bits(poset.strict_down_mask(i)))
+
     order = sorted(range(poset.n), key=lambda i: (poset.heights[i], i))
+    refusal = f"monotone surjection search exceeded {budget} states"
+    return _onto_assignment(order, range(other.n), fits, budget, refusal)[0] is not None
+
+
+def _onto_assignment(elements, values, fits, budget, refusal):
+    """The first assignment, depth first, of one of ``values`` to each of
+    ``elements`` in turn that hits every value, where element i may take v
+    only if ``fits(i, v, assignment)`` given the elements before it; None if
+    there is none. Values are tried in the given order and every try counts
+    against ``budget``, beyond which SearchBudgetExceeded(refusal) is raised.
+    A branch is cut once the elements left are too few to hit the values not
+    yet hit. Returns the assignment (or None) and the number of tries."""
     assignment: Dict[int, int] = {}
-    hit: List[int] = [0] * other.n
-    missing = other.n
-    visited = 0
-
-    def assign(k: int) -> bool:
-        nonlocal visited, missing
-        if poset.n - k < missing:
-            return False  # cannot cover the remaining targets
-        if k == poset.n:
-            return missing == 0
-        i = order[k]
-        for v in range(other.n):
-            visited += 1
-            if visited > budget:
-                raise SearchBudgetExceeded(
-                    f"monotone surjection search exceeded {budget} states"
-                )
-            ok = True
-            for i2, v2 in assignment.items():
-                below = (poset.up_mask(i2) >> i) & 1
-                above = (poset.up_mask(i) >> i2) & 1
-                if below and not (other.up_mask(v2) >> v) & 1:
-                    ok = False
-                    break
-                if above and not (other.up_mask(v) >> v2) & 1:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            assignment[i] = v
-            hit[v] += 1
-            if hit[v] == 1:
-                missing -= 1
-            if assign(k + 1):
-                return True
-            hit[v] -= 1
-            if hit[v] == 0:
-                missing += 1
-            del assignment[i]
-        return False
-
-    return assign(0)
+    hits = dict.fromkeys(values, 0)
+    missing = len(hits)
+    if not elements or len(elements) < missing:
+        return (None if missing else assignment), 0
+    untried = [iter(values)]  # the values left for each element opened so far
+    tries = 0
+    while untried:
+        i = elements[len(untried) - 1]
+        if i in assignment:  # every branch below its value failed
+            v = assignment.pop(i)
+            hits[v] -= 1
+            missing += not hits[v]
+        for v in untried[-1]:
+            tries += 1
+            if tries > budget:
+                raise SearchBudgetExceeded(refusal)
+            if fits(i, v, assignment):
+                break
+        else:
+            untried.pop()
+            continue
+        assignment[i] = v
+        hits[v] += 1
+        missing -= hits[v] == 1
+        if len(elements) - len(untried) >= missing:
+            if len(untried) == len(elements):
+                return assignment, tries
+            untried.append(iter(values))
+    return None, tries

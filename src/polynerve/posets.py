@@ -191,9 +191,6 @@ class FinitePoset:
     def maximal_elements(self) -> frozenset:
         return frozenset(self.labels[i] for i in range(self.n) if self.depths[i] == 0)
 
-    def minimal_elements(self) -> frozenset:
-        return frozenset(self.labels[i] for i in range(self.n) if self.heights[i] == 0)
-
     def root(self) -> Optional[str]:
         """The minimum element, if there is one."""
         for i in range(self.n):
@@ -267,29 +264,26 @@ class FinitePoset:
         return sum(ending)
 
     def iter_chain_masks(self, budget: int = CHAIN_BUDGET):
-        """Yield every nonempty chain as a bitmask, each exactly once."""
+        """Yield every nonempty chain as a bitmask, each exactly once, depth
+        first from a stack of (chain, candidates) pairs: a chain is extended
+        only by higher-indexed comparable elements, lowest index first."""
         produced = 0
-
-        def extend(mask: int, candidates: int):
-            nonlocal produced
-            m = candidates
-            while m:  # inline: through _bits chain enumeration took about 30% longer
-                b = m & -m
-                m ^= b
-                i = b.bit_length() - 1
-                new_mask = mask | b
-                produced += 1
-                if produced > budget:
-                    raise SizeBudgetExceeded(
-                        f"chain enumeration exceeds budget {budget}"
-                    )
-                yield new_mask
-                # only extend with higher-indexed comparable elements so each
-                # chain is produced once
-                rest = candidates & self._comparable[i] & ~((1 << (i + 1)) - 1)
-                yield from extend(new_mask, rest)
-
-        yield from extend(0, self.full_mask)
+        comparable = self._comparable
+        stack = [(0, self.full_mask)] if self.n else []
+        while stack:
+            mask, candidates = stack.pop()
+            b = candidates & -candidates
+            candidates ^= b
+            if candidates:
+                stack.append((mask, candidates))
+            produced += 1
+            if produced > budget:
+                raise SizeBudgetExceeded(f"chain enumeration exceeds budget {budget}")
+            yield mask | b
+            # the candidates left are all above b's index
+            rest = candidates & comparable[b.bit_length() - 1]
+            if rest:
+                stack.append((mask | b, rest))
 
     def restrict(self, labels: Iterable[str]) -> "FinitePoset":
         """Induced subposet on the given elements (original label order)."""

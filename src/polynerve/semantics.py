@@ -8,7 +8,7 @@ it to the whole carrier.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .errors import ForbiddenSignature, PreconditionViolated, SizeBudgetExceeded
 from .formulas import And, Const, Formula, Imp, Or, Var
@@ -189,31 +189,43 @@ def counter_valuation(
             lo[slot] = elements[0]
         return True
 
-    def refuted(j: int) -> bool:
-        """Whether some valuation of variables j.. refutes phi, given the
-        outer ones; the refuting upsets are left in their variables' slots."""
-        slot = slots[j]
-        if j + 1 == k:
-            stage = stages[k]
-            for u in elements:
-                lo[slot] = u
-                compute(stage)
-                if lo[-1] != top:
-                    return True
-        else:
-            span = spans[j]
-            for u in elements:
-                lo[slot] = hi[slot] = u
-                bound(span)
+    def refuted() -> bool:
+        """Whether some valuation refutes phi; the refuting upsets are left
+        in their variables' slots. Depth first, with the upsets left to try
+        for each bound outer variable on a stack; once all outer variables
+        are bound, the innermost one runs through all upsets."""
+        untried: List[Iterator[int]] = []
+        last, stage = slots[-1], stages[k]
+        while True:
+            if len(untried) + 1 == k:
+                for u in elements:
+                    lo[last] = u
+                    compute(stage)
+                    if lo[-1] != top:
+                        return True
+                lo[last], hi[last] = 0, top
+            else:
+                untried.append(iter(elements))
+            while untried:  # the next upset of the innermost outer variable
+                j = len(untried) - 1
+                u = next(untried[-1], None)
+                if u is None:
+                    lo[slots[j]], hi[slots[j]] = 0, top
+                    untried.pop()
+                    continue
+                lo[slots[j]] = hi[slots[j]] = u
+                bound(spans[j])
                 cut = decided(j + 1)
-                if cut or (cut is None and refuted(j + 1)):
+                if cut:
                     return True
-        lo[slot], hi[slot] = 0, top
-        return False
+                if cut is None:
+                    break  # bind the next variable
+            else:
+                return False
 
     bound(sum(stages, []))
     cut = decided(0)
-    if not (cut or (cut is None and refuted(0))):
+    if not (cut or (cut is None and refuted())):
         return None
     return {name: algebra.members(lo[slot]) for name, slot in zip(variables, slots)}
 

@@ -56,10 +56,11 @@ class Signature:
 
     # -- basic views --------------------------------------------------------
 
-    @property
+    @cached_property
     def size(self) -> int:
-        """Total number of branches, |alpha|."""
-        return len(self.heights)
+        """Total number of branches, |alpha|, read off the entries, so a
+        huge multiplicity is never expanded."""
+        return sum(m for _, m in self.entries)
 
     @cached_property
     def heights(self) -> Tuple[int, ...]:
@@ -90,7 +91,7 @@ class Signature:
 
     def leq(self, other: "Signature") -> bool:
         """Pointwise order on descending expansions, shorter below longer."""
-        return _below(self.heights, other.heights)
+        return self.size <= other.size and _below(self.heights, other.heights)
 
     def splits(self, contype: Tuple[int, ...]) -> bool:
         """Whether a set of connectedness type ``contype`` (its component
@@ -98,7 +99,9 @@ class Signature:
         partition into |self| pieces with the prescribed heights: for the
         empty signature only the empty set does, otherwise exactly when
         self.heights is pointwise below ``contype``."""
-        return _below(self.heights, contype) if self.heights else not contype
+        if not self.entries:
+            return not contype
+        return self.size <= len(contype) and _below(self.heights, contype)
 
     def __le__(self, other: "Signature") -> bool:
         return self.leq(other)
@@ -121,7 +124,8 @@ class Signature:
 
 
 def _below(mine: Tuple[int, ...], theirs: Tuple[int, ...]) -> bool:
-    return len(mine) <= len(theirs) and all(a <= b for a, b in zip(mine, theirs))
+    """Pointwise order, the sizes already compared."""
+    return all(a <= b for a, b in zip(mine, theirs))
 
 
 EPSILON = Signature(())

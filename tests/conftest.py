@@ -8,10 +8,15 @@ pairwise_open_implies, per_face_stellar, volume_refinement_oracle,
 former_sorted_simplices, former_homogeneous, fraction_lp_maximize,
 fraction_solve_exact, fraction_rank_exact, fraction_determinant,
 naive_counter_valuation, staged_counter_valuation, completion_diamond_connected,
-completion_nerve_connected) reuse the package primitives they were built on:
-the comparability masks, elementary stellar moves, the exact-LP intersection
-test, barycentric coordinates, the face relation of simplices, the upset
-listing and the completion with a synthetic top."""
+completion_nerve_connected, recursive_parse_formula, recursive_chain_masks,
+recursive_search_up_reduction, recursive_monotone_surjection) reuse the
+package primitives they were built on: the comparability masks, elementary
+stellar moves, the exact-LP intersection test, barycentric coordinates, the
+face relation of simplices, the upset listing, the completion with a
+synthetic top, the tokenizer and formula nodes, and the order masks. The
+recursive ones recurse once per level of nesting, so they are run only on
+inputs shallow enough for the interpreter's stack. solve_exact is the
+Fraction front end of exactla's integer solver, which only tests use."""
 from __future__ import annotations
 
 import random
@@ -35,10 +40,16 @@ from polynerve import (
 from polynerve.errors import (
     BadIntersection,
     NotDownwardClosed,
+    ParseError,
     PointOutsideSupport,
+    SearchBudgetExceeded,
     SizeBudgetExceeded,
 )
-from polynerve.formulas import And, Const, Imp, Or, Var
+from polynerve.exactla import _integer_row, _solve_integer
+from polynerve import formulas
+from polynerve.formulas import FALSE, TRUE, And, Const, Imp, Neg, Or, Var, _tokenize
+from polynerve.morphisms import PMorphism, is_up_reduction
+from polynerve.posets import CHAIN_BUDGET, _bits
 from polynerve.geometry import _format_point, _intersection_is_common_face
 from polynerve.semantics import VALUATION_BUDGET, UpsetAlgebra, _flatten, _upsets
 from polynerve.randposets import random_poset, random_rooted_poset
@@ -515,6 +526,17 @@ def volume_refinement_oracle(finer, coarser) -> bool:
     return True
 
 
+def solve_exact(matrix, rhs):
+    """One exact solution of A x = b as Fractions, or None if the system is
+    inconsistent, through exactla's integer solver; free variables are 0."""
+    cols = len(matrix[0]) if matrix else 0
+    solution = _solve_integer([_integer_row([*row, b])[0] for row, b in zip(matrix, rhs)], cols)
+    if solution is None:
+        return None
+    numerators, denom = solution
+    return [Fraction(m, denom) for m in numerators]
+
+
 def fraction_solve_exact(matrix, rhs):
     """The package's former solve_exact: Gauss-Jordan elimination on
     Fractions, each pivot row divided through. One solution of A x = b with
@@ -755,3 +777,195 @@ def sample_posets(count, max_size, seed, rooted=False):
             random_rooted_poset(size, rng) if rooted else random_poset(size, rng)
         )
     return out
+
+
+def recursive_parse_formula(text):
+    """The package's former parser: recursive descent, one closure per
+    grammar level, nesting counted as the operator-precedence loop counts
+    it."""
+    tokens = _tokenize(text)
+    index = 0
+    depth = 0
+
+    def nest(levels):
+        nonlocal depth
+        depth += levels
+        if depth > formulas.MAX_NESTING:
+            fail("formula is nested too deeply")
+
+    def peek():
+        return tokens[index][0] if index < len(tokens) else None
+
+    def take():
+        nonlocal index
+        index += 1
+
+    def fail(message):
+        at = tokens[index][1] if index < len(tokens) else len(text)
+        raise ParseError(message, at)
+
+    def atom():
+        tok = peek()
+        if tok is None:
+            fail("formula ended unexpectedly")
+        if tok == "(":
+            take()
+            nest(1)
+            inner = implication()
+            if peek() != ")":
+                fail("expected ')'")
+            take()
+            nest(-1)
+            return inner
+        if tok in ("T", "F"):
+            take()
+            return TRUE if tok == "T" else FALSE
+        if tok[0].isalpha():
+            take()
+            return Var(tok)
+        fail(f"expected an atom, found {tok!r}")
+
+    def unary():
+        negations = 0
+        while peek() == "~":
+            take()
+            nest(1)
+            negations += 1
+        node = atom()
+        nest(-negations)
+        for _ in range(negations):
+            node = Neg(node)
+        return node
+
+    def conj():
+        node = unary()
+        while peek() == "&":
+            take()
+            node = And(node, unary())
+        return node
+
+    def disj():
+        node = conj()
+        while peek() == "|":
+            take()
+            node = Or(node, conj())
+        return node
+
+    def implication():
+        node = disj()
+        if peek() == "->":
+            take()
+            nest(1)
+            node = Imp(node, implication())
+            nest(-1)
+        return node
+
+    result = implication()
+    if index != len(tokens):
+        fail(f"trailing input {tokens[index][0]!r}")
+    return result
+
+
+def recursive_chain_masks(poset, budget=CHAIN_BUDGET):
+    """The package's former chain walk: one nested generator per chain
+    element, each extending its chain by the higher-indexed comparable
+    candidates, lowest index first."""
+    produced = 0
+
+    def extend(mask, candidates):
+        nonlocal produced
+        for i in _bits(candidates):
+            produced += 1
+            if produced > budget:
+                raise SizeBudgetExceeded(f"chain enumeration exceeds budget {budget}")
+            yield mask | 1 << i
+            rest = candidates & (poset.up_mask(i) | poset.down_mask(i)) & ~((1 << (i + 1)) - 1)
+            yield from extend(mask | 1 << i, rest)
+
+    yield from extend(0, poset.full_mask)
+
+
+def recursive_search_up_reduction(poset, target, budget=10**7):
+    """The package's former up-reduction search: one recursive ``assign``
+    per apex, checking forth and back at each element against the elements
+    above it, with no cut on the values left to hit."""
+    root_idx = target.index(target.root())
+    value_order = sorted(
+        (j for j in range(target.n) if j != root_idx), key=lambda j: (target.heights[j], j)
+    )
+    visited = 0
+    for apex in sorted(range(poset.n), key=lambda i: (-poset.heights[i], i)):
+        above_apex = poset.up_mask(apex)
+        if max(poset.heights[j] for j in _bits(above_apex)) - poset.heights[apex] < max(target.heights):
+            continue
+        order = sorted(_bits(above_apex & ~(1 << apex)), key=lambda i: (-poset.heights[i], i))
+        assignment = {apex: root_idx}
+
+        def assign(k):
+            nonlocal visited
+            if k == len(order):
+                return sum(1 << v for v in set(assignment.values())) == target.full_mask
+            i = order[k]
+            above = tuple(_bits(poset.strict_up_mask(i)))
+            for v in value_order:
+                visited += 1
+                if visited > budget:
+                    raise SearchBudgetExceeded(f"up-reduction search exceeded {budget} states")
+                images = [assignment[j] for j in above]
+                if any(not target.up_mask(v) >> fj & 1 for fj in images):
+                    continue  # forth
+                if target.strict_up_mask(v) & ~sum(1 << fj for fj in set(images)):
+                    continue  # back
+                assignment[i] = v
+                if assign(k + 1):
+                    return True
+                del assignment[i]
+            return False
+
+        if assign(0):
+            mapping = {poset.labels[i]: target.labels[v] for i, v in assignment.items()}
+            witness = PMorphism(poset, target, poset.labels_of(above_apex), mapping)
+            assert is_up_reduction(witness)
+            return witness
+    return None
+
+
+def recursive_monotone_surjection(poset, other, budget=10**7):
+    """The package's former monotone-surjection search: one recursive
+    ``assign`` over the elements by height, checked against every pair
+    already assigned, cut when too few elements are left to hit the rest."""
+    if other.is_empty:
+        return poset.is_empty
+    if poset.n < other.n:
+        return False
+    order = sorted(range(poset.n), key=lambda i: (poset.heights[i], i))
+    assignment = {}
+    hit = [0] * other.n
+    visited = 0
+
+    def assign(k, missing):
+        nonlocal visited
+        if poset.n - k < missing:
+            return False
+        if k == poset.n:
+            return missing == 0
+        i = order[k]
+        for v in range(other.n):
+            visited += 1
+            if visited > budget:
+                raise SearchBudgetExceeded(f"monotone surjection search exceeded {budget} states")
+            if any(
+                (poset.up_mask(i2) >> i & 1 and not other.up_mask(v2) >> v & 1)
+                or (poset.up_mask(i) >> i2 & 1 and not other.up_mask(v) >> v2 & 1)
+                for i2, v2 in assignment.items()
+            ):
+                continue
+            assignment[i] = v
+            hit[v] += 1
+            if assign(k + 1, missing - (hit[v] == 1)):
+                return True
+            hit[v] -= 1
+            del assignment[i]
+        return False
+
+    return assign(0, other.n)

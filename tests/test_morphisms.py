@@ -21,6 +21,8 @@ from conftest import (
     brute_up_reduction_exists,
     make_antichain,
     make_chain,
+    recursive_monotone_surjection,
+    recursive_search_up_reduction,
     sample_posets,
 )
 
@@ -166,6 +168,51 @@ def test_construction_agrees_with_search_oracle():
                 assert _apex(witness) == _apex(oracle), (poset, alpha)
     print(f"{pairs} pairs, {found} reductions, {refused} refused by the oracle")
     assert found and refused < pairs // 20
+
+
+def _decided(search, *args, **kwargs):
+    try:
+        return search(*args, **kwargs)
+    except SearchBudgetExceeded as exc:
+        return str(exc)
+
+
+def test_searches_match_recursive_oracles():
+    # the same witness wherever the recursive search answers; the shared
+    # routine's cut on the values left to hit may answer where it refuses
+    rng = random.Random(67)
+    posets = [random_poset(rng.randint(1, 7), rng, rooted=bool(k % 2)) for k in range(160)]
+    posets += [pn.nerve(p) for p in posets[:80] if p.count_chains() <= 40]
+    targets = [pn.starlike_tree(S(t)) for t in ("e", "1", "2", "1^2", "2.1", "1^3")]
+    targets += [p for p in posets[:30] if p.root() is not None]
+    seen = {"same": 0, "answered": 0, "confirmed": 0}
+    for poset in posets:
+        for target in rng.sample(targets, 5):
+            budget = rng.choice((50, 500, 5000))
+            oracle = _decided(recursive_search_up_reduction, poset, target, budget=budget)
+            found = _decided(_search_up_reduction, poset, target, budget=budget)
+            if found == oracle:
+                seen["same"] += 1
+            else:
+                assert isinstance(oracle, str) and not isinstance(found, str), (poset, target)
+                seen["answered"] += 1
+                deeper = _decided(recursive_search_up_reduction, poset, target, budget=10**5)
+                assert found == deeper or isinstance(deeper, str), (poset, target)
+                seen["confirmed"] += found == deeper
+            other = rng.choice(posets + targets)
+            assert _decided(pn.exists_monotone_surjection, poset, other, budget=budget) == _decided(
+                recursive_monotone_surjection, poset, other, budget=budget
+            )
+    print(seen)
+    assert seen["confirmed"] and seen["same"] > 10 * seen["answered"]
+
+
+def test_no_reduction_onto_a_larger_target(theta_frame):
+    chain = make_chain(2000)
+    assert pn.find_up_reduction(theta_frame, chain) is None
+    assert "covers_up" not in chain.__dict__  # decided before the covers are read
+    assert pn.find_up_reduction(theta_frame, make_chain(5)) is None
+    assert pn.find_up_reduction(make_chain(5), make_chain(5)) is not None
 
 
 def test_reduction_search_agrees_with_unpruned_oracle():

@@ -14,6 +14,7 @@ from polynerve.errors import (
     NotATree,
     NotComparable,
     NotRooted,
+    SizeBudgetExceeded,
     UnknownElement,
 )
 
@@ -25,6 +26,7 @@ from conftest import (
     exhaustive_width,
     make_antichain,
     make_chain,
+    recursive_chain_masks,
     sample_posets,
 )
 
@@ -307,6 +309,28 @@ def test_chain_count_matches_oracle(theta_frame):
         assert poset.count_chains() == len(chains)
     for poset, _ in _kernel_cases(41):
         assert poset.count_chains() == len(brute_chains(poset))
+
+
+def _walk(chains):
+    """The chains yielded, then the budget refusal if there is one."""
+    out = []
+    try:
+        out.extend(chains)
+    except SizeBudgetExceeded as exc:
+        out.append(str(exc))
+    return out
+
+
+def test_chain_walk_matches_recursive_oracle():
+    rng = random.Random(43)
+    for poset, _ in _kernel_cases(43):
+        chains = list(poset.iter_chain_masks())
+        assert chains == list(recursive_chain_masks(poset))
+        budget = rng.randint(0, len(chains))
+        walked = _walk(poset.iter_chain_masks(budget=budget))
+        assert walked == _walk(recursive_chain_masks(poset, budget=budget))
+        assert walked[-1] == f"chain enumeration exceeds budget {budget}" or budget == len(chains)
+    assert list(pn.FinitePoset([], []).iter_chain_masks()) == []
 
 
 # -- serialisation -----------------------------------------------------------------------------

@@ -1,0 +1,90 @@
+"""No function in the package calls itself: the parser, the chain walk and
+the backtracking searches keep explicit stacks, so their declared limits
+(MAX_NESTING, the chain budget, the search budget), not the interpreter's
+recursion limit, decide what they refuse."""
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import polynerve
+
+SOURCES = sorted(Path(polynerve.__file__).parent.glob("*.py"))
+
+
+def _self_calls(tree):
+    """(function name, line) for every call of a function to its own name,
+    directly or as a method of self or cls."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if (isinstance(f, ast.Name) and f.id == fn.name) or (
+                isinstance(f, ast.Attribute)
+                and f.attr == fn.name
+                and isinstance(f.value, ast.Name)
+                and f.value.id in ("self", "cls")
+            ):
+                found.append((fn.name, node.lineno))
+    return found
+
+
+def test_guard_finds_recursion():
+    tree = ast.parse(
+        "def walk(k):\n    return walk(k - 1) if k else 0\n"
+        "class A:\n    def go(self):\n        def inner():\n            return self.go()\n        return inner\n"
+    )
+    assert _self_calls(tree) == [("walk", 2), ("go", 6)]
+
+
+def test_no_function_in_the_package_calls_itself():
+    assert len(SOURCES) > 10
+    found = {
+        path.name: calls for path in SOURCES if (calls := _self_calls(ast.parse(path.read_text())))
+    }
+    assert found == {}
+    assert not any("RecursionError" in path.read_text() for path in SOURCES)
+
+
+LOW_LIMIT_SCRIPT = """
+import sys
+from polynerve import FinitePoset, parse_formula
+from polynerve.errors import ParseError, SizeBudgetExceeded
+from polynerve.formulas import Var
+from polynerve.morphisms import _search_up_reduction, exists_monotone_surjection, is_up_reduction
+
+def chain(n):
+    return FinitePoset([f"c{i}" for i in range(n)], [(1 << n) - (1 << i) for i in range(n)])
+
+sys.setrecursionlimit(120)
+assert parse_formula("(" * 500 + "p" + ")" * 500) == Var("p")
+try:
+    parse_formula("(" * 501 + "p" + ")" * 501)
+    raise AssertionError("501 parentheses parsed")
+except ParseError as exc:
+    assert "nested too deeply" in str(exc) and exc.position == 501, exc
+long = chain(1100)
+try:
+    sum(1 for _ in long.iter_chain_masks(budget=5000))
+    raise AssertionError("the chain budget was not enforced")
+except SizeBudgetExceeded:
+    pass
+assert exists_monotone_surjection(long, chain(1))
+witness = _search_up_reduction(chain(150), chain(150))
+assert witness is not None and is_up_reduction(witness)
+print("ok")
+"""
+
+
+def test_limits_hold_under_a_low_recursion_limit():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", LOW_LIMIT_SCRIPT], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ok\n"

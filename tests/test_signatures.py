@@ -31,6 +31,13 @@ def test_parse_rejects_garbage():
         Signature(((0, 1),))
 
 
+def test_huge_multiplicities_are_never_expanded():
+    huge = Signature.parse("1^1000000000")
+    assert huge.size == 10**9 and huge.text() == "1^1000000000"
+    assert not huge.splits((3, 2, 1)) and not huge.leq(Signature.parse("5^3"))
+    assert "heights" not in huge.__dict__  # sizes are compared first
+
+
 def test_heights_expansion_and_indexing():
     sig = Signature.parse("3^2.2.1")
     assert sig.heights == (3, 3, 2, 1)
