@@ -2,10 +2,10 @@
 whether Scott's signature is among the axioms), nervification, and the
 end-to-end witness pipeline.
 
-Every construction re-checks its own postconditions (gradedness, witness
-p-morphism, connectedness-type preservation, validity preservation) and
-raises ConstructionPostconditionFailed instead of returning unverified
-output.
+Every construction re-checks its own postconditions through one verifier
+(signature checks, then the witness, then rootedness, height and gradedness)
+plus one profile check, and raises ConstructionPostconditionFailed instead
+of returning unverified output.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from .posets import (
 )
 from .semantics import scott_frame_conditions, validates_sfl
 from .signatures import DIFORK, SCOTT, Signature
-from .starlike import is_alpha_connected, is_alpha_nerve_connected
+from .starlike import is_alpha_connected
 
 __all__ = [
     "ConstructionResult",
@@ -60,11 +60,6 @@ def _identity_result(poset: FinitePoset, note: str) -> ConstructionResult:
     return ConstructionResult(poset, witness, [{"step": note}])
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ConstructionPostconditionFailed(message)
-
-
 def _assembled(
     labels: List[str],
     edges: List[Tuple[str, str]],
@@ -87,28 +82,107 @@ def _text(contype: Tuple[int, ...]) -> str:
     return Signature.from_heights(contype).text()
 
 
-def _verify_witness(result: ConstructionResult) -> None:
-    _require(result.witness.is_total, "witness must be total on the output")
-    _require(is_up_reduction(result.witness), "witness is not a surjective p-morphism")
+def _preconditions(
+    poset: FinitePoset, lambdas: Iterable[Signature], scott: Optional[bool] = None
+) -> Set[Signature]:
+    """The axioms as a set, once the input is rooted, meets the regime's
+    demand on Scott's signature (``scott``; None for no regime) and validates
+    its own starlike logic. An up-reduction's image keeps validity, so no
+    output could pass verification for an input that refutes its axioms."""
+    lambdas = set(lambdas)
+    if poset.root() is None:
+        raise PreconditionViolated("gradification needs a rooted poset")
+    if scott is not None and (SCOTT in lambdas) != scott:
+        where = "among" if scott else "absent from"
+        raise PreconditionViolated(f"this regime needs 2.1 {where} the axioms")
+    if not validates_sfl(poset, lambdas):
+        raise PreconditionViolated("the input must validate its own starlike logic")
+    return lambdas
+
+
+def _verify(
+    result: ConstructionResult,
+    base: FinitePoset,
+    upsets: Iterable[Signature] = (),
+    diamonds: Iterable[Signature] = (),
+    nerves: Iterable[Signature] = (),
+    scott: bool = False,
+) -> None:
+    """The postconditions every construction shares, cheapest rejections
+    first. No alpha in ``upsets`` splits a strict upset of the output, none
+    in ``diamonds`` splits a strict diamond of it, and none in ``nerves``
+    splits a strict upset of its nerve (walked, not built); with ``scott``,
+    the output meets the Scott-form frame conditions of ``upsets``. Then the
+    witness is a total up-reduction onto ``base``, and the output stays
+    rooted, keeps the height of ``base`` and is graded."""
+    output, witness = result.output, result.witness
+    for alpha in upsets:
+        if not is_alpha_connected(output, alpha):
+            raise ConstructionPostconditionFailed(f"output lost {alpha}-connectedness")
+    for alpha in diamonds:
+        if any(map(alpha.splits, output.diamond_contypes)):
+            raise ConstructionPostconditionFailed(f"output has a splittable diamond for {alpha}")
+    for alpha in nerves:
+        if not nerve_is_alpha_connected(output, alpha):
+            raise ConstructionPostconditionFailed(f"the nerve of the output is not {alpha}-connected")
+    if scott and not scott_frame_conditions(output, upsets):
+        raise ConstructionPostconditionFailed("output violates the Scott-form frame conditions")
+    for holds, message in (
+        (witness.is_total, "witness must be total on the output"),
+        (is_up_reduction(witness), "witness is not a surjective p-morphism onto the input"),
+        (output.root() is not None, "output must stay rooted"),
+        (height(output) == height(base), "output must keep the height of the input"),
+        (is_graded(output) is not None, "output must be graded"),
+    ):
+        if not holds:
+            raise ConstructionPostconditionFailed(message)
+
+
+def _check_profiles(
+    result: ConstructionResult,
+    base: FinitePoset,
+    labels: Iterable[str],
+    split: Optional[Dict[str, int]] = None,
+) -> None:
+    """The strict-upset profile of each given output label matches that of
+    its image in ``base``. ``split`` is nervify's switch; with it, two
+    exceptions are sanctioned: a singly-topped middle rung may see a
+    two-point antichain where the base sees one point (two chevron tops, no
+    fork in any legal axiom set can use it), and each split-rung copy sees
+    exactly one point per incident top (``split`` maps each copy to that
+    number)."""
+    output, witness = result.output, result.witness
+    for lab in labels:
+        got, want = _profile(output, lab), _profile(base, witness(lab))
+        if got != want and (split is None or (got, want) != ((1, 1), (1,))):
+            raise ConstructionPostconditionFailed(
+                f"profile not preserved at {lab!r}: {_text(got)} vs {_text(want)}"
+            )
+    for lab, top_count in (split or {}).items():
+        got, expected = _profile(output, lab), (1,) * top_count
+        if got != expected:
+            raise ConstructionPostconditionFailed(
+                f"split rung {lab!r} has profile {_text(got)}, expected {_text(expected)}"
+            )
+
+
+def _tree_scaffold(poset: FinitePoset):
+    """What the tree-based builders start from: the tree unravelling, its
+    map onto the poset, the tree tops grouped by image (each group in label
+    order) and a trace holding the unravelling step."""
+    tree, last = tree_unravelling(poset)
+    fibres: Dict[str, List[int]] = {}
+    for t in range(tree.n):
+        if tree.depths[t] == 0:
+            fibres.setdefault(last(tree.labels[t]), []).append(t)
+    for group in fibres.values():
+        group.sort(key=lambda t: tree.labels[t])
+    return tree, last, fibres, [{"step": "tree_unravelling", "size": tree.n}]
 
 
 def _tree_meet(tree: FinitePoset, i: int, j: int) -> int:
     """Meet of two tree elements: the top of their shared prefix."""
     return max(_bits(tree.down_mask(i) & tree.down_mask(j)), key=tree.heights.__getitem__)
-
-
-def _contype_preserved_on(
-    output: FinitePoset,
-    witness: PMorphism,
-    base: FinitePoset,
-    labels: Iterable[str],
-) -> None:
-    for lab in labels:
-        got, want = _profile(output, lab), _profile(base, witness(lab))
-        if got != want:
-            raise ConstructionPostconditionFailed(
-                f"connectedness type not preserved at {lab!r}: {_text(got)} vs {_text(want)}"
-            )
 
 
 def gradify_with_scott(poset: FinitePoset, lambdas: Iterable[Signature]) -> ConstructionResult:
@@ -121,25 +195,15 @@ def gradify_with_scott(poset: FinitePoset, lambdas: Iterable[Signature]) -> Cons
     depth-one elements antichains of merged tops; padding above the tops
     (the obvious alternative) would stack those antichains into parallel
     chains of mixed heights and thereby refute Scott's axiom."""
-    lambdas = set(lambdas)
-    if poset.root() is None:
-        raise PreconditionViolated("gradification needs a rooted poset")
-    if SCOTT not in lambdas:
-        raise PreconditionViolated("this regime needs 2.1 among the axioms")
-    if not validates_sfl(poset, lambdas):
-        raise PreconditionViolated("the input must validate its own starlike logic")
-
+    lambdas = _preconditions(poset, lambdas, scott=True)
     if Signature.parse("2") in lambdas:
         # the depth-2 axiom caps the height at 1, which forces gradedness
         result = _identity_result(poset, "already graded under the depth bound")
-        _verify_gradify(result, poset, lambdas, with_scott=True)
+        _verify(result, poset, upsets=lambdas, scott=True)
         return result
 
     n = height(poset)
-    tree, last = tree_unravelling(poset)
-    trace: List[dict] = [{"step": "tree_unravelling", "size": tree.n}]
-
-    tops = [i for i in range(tree.n) if tree.depths[i] == 0]
+    tree, last, fibres, trace = _tree_scaffold(poset)
     trunk = [i for i in range(tree.n) if tree.depths[i] != 0]
     target_rank = [n - tree.depths[i] for i in range(tree.n)]
 
@@ -147,43 +211,32 @@ def gradify_with_scott(poset: FinitePoset, lambdas: Iterable[Signature]) -> Cons
     edges: List[Tuple[str, str]] = []
     mapping: Dict[str, str] = {tree.labels[i]: last(tree.labels[i]) for i in trunk}
 
-    merged_label = {u: f"top@{u}" for u in sorted(poset.maximal_elements())}
+    # every maximal element is the image of some tree top
+    merged_label = {u: f"top@{u}" for u in sorted(fibres)}
     for u, lab in merged_label.items():
         labels.append(lab)
         mapping[lab] = u
 
-    pad_trace: List[dict] = []
     for i in range(tree.n):
         for j in tree.covers_up[i]:
-            upper = (
-                merged_label[last(tree.labels[j])]
-                if tree.depths[j] == 0
-                else tree.labels[j]
-            )
+            j_lab = tree.labels[j]
+            upper = merged_label[last(j_lab)] if tree.depths[j] == 0 else j_lab
             gap = target_rank[j] - target_rank[i] - 1
-            pads = [f"{tree.labels[j]}~{k}" for k in range(gap)]
+            pads = [f"{j_lab}~{k}" for k in range(gap)]
             for lab in pads:
                 labels.append(lab)
                 mapping[lab] = mapping[upper]  # pads ride up to the upper end
             chain = [tree.labels[i]] + pads + [upper]
             edges.extend(zip(chain, chain[1:]))
             if pads:
-                pad_trace.append(
+                trace.append(
                     {"step": "pad", "edge": [tree.labels[i], upper], "added_elements": pads}
                 )
-    trace.extend(pad_trace)
-    trace.append(
-        {
-            "step": "merge_tops",
-            "identified_classes": [
-                sorted(tree.labels[t] for t in tops if last(tree.labels[t]) == u)
-                for u in sorted(merged_label)
-            ],
-        }
-    )
+    classes = [[tree.labels[t] for t in fibres[u]] for u in merged_label]
+    trace.append({"step": "merge_tops", "identified_classes": classes})
 
     result = _assembled(labels, edges, mapping, poset, trace)
-    _verify_gradify(result, poset, lambdas, with_scott=True)
+    _verify(result, poset, upsets=lambdas, scott=True)
     return result
 
 
@@ -192,34 +245,21 @@ def gradify_without_scott(poset: FinitePoset, lambdas: Iterable[Signature]) -> C
     tree and bridge every pair of tops with a shared image by a zigzag path,
     with scaffolding chains dangled down to their meet to keep ranks
     consistent."""
-    lambdas = set(lambdas)
-    if poset.root() is None:
-        raise PreconditionViolated("gradification needs a rooted poset")
-    if SCOTT in lambdas:
-        raise PreconditionViolated("this regime needs 2.1 absent from the axioms")
-    if not validates_sfl(poset, lambdas):
-        raise PreconditionViolated("the input must validate its own starlike logic")
-
+    lambdas = _preconditions(poset, lambdas, scott=False)
     if height(poset) <= 1:
         # covers the degenerate axioms (1 and 2 force height <= 1)
         result = _identity_result(poset, "already graded at height <= 1")
-        _verify_gradify(result, poset, lambdas, with_scott=False)
+        _verify(result, poset, upsets=lambdas)
         return result
 
-    tree, last = tree_unravelling(poset)
-    trace: List[dict] = [{"step": "tree_unravelling", "size": tree.n}]
+    tree, last, fibres, trace = _tree_scaffold(poset)
     labels = list(tree.labels)
     edges = [(tree.labels[a], tree.labels[b]) for a, b in _cover_pairs(tree)]
     mapping: Dict[str, str] = {lab: last(lab) for lab in tree.labels}
 
-    tops = [i for i in range(tree.n) if tree.depths[i] == 0]
-    fibres: Dict[str, List[int]] = {}
-    for t in tops:
-        fibres.setdefault(last(tree.labels[t]), []).append(t)
-
     pair_id = 0
     for u in sorted(fibres):
-        group = sorted(fibres[u], key=lambda t: tree.labels[t])
+        group = fibres[u]
         # bridging consecutive tops suffices: longer paths compose
         for a_pos in range(len(group) - 1):
             p, q = group[a_pos], group[a_pos + 1]
@@ -266,43 +306,13 @@ def gradify_without_scott(poset: FinitePoset, lambdas: Iterable[Signature]) -> C
             )
 
     result = _assembled(labels, edges, mapping, poset, trace)
-    _verify_gradify(result, poset, lambdas, with_scott=False)
-    _contype_preserved_on(result.output, result.witness, poset, tree.labels)
+    _check_profiles(result, poset, tree.labels)
+    _verify(result, poset, upsets=lambdas)
     return result
 
 
 def _cover_pairs(poset: FinitePoset) -> List[Tuple[int, int]]:
     return [(i, j) for i in range(poset.n) for j in poset.covers_up[i]]
-
-
-def _verify_gradify(
-    result: ConstructionResult,
-    original: FinitePoset,
-    lambdas: Set[Signature],
-    with_scott: bool,
-) -> None:
-    _verify_witness(result)
-    _require(result.output.root() is not None, "gradification output must stay rooted")
-    _require(is_graded(result.output) is not None, "gradification output must be graded")
-    _require(
-        height(result.output) == height(original),
-        "gradification must preserve height",
-    )
-    _require(
-        validates_sfl(result.output, lambdas),
-        "gradification output must keep validating the starlike logic",
-    )
-    if with_scott:
-        _require(
-            scott_frame_conditions(result.output, lambdas),
-            "output violates the Scott-form frame conditions",
-        )
-
-
-def _diamond_connected_plain(poset: FinitePoset, alpha: Signature) -> bool:
-    """The diamond condition quantified over pairs of the poset itself (no
-    synthetic top); this is the guarantee nervification is built to deliver."""
-    return not any(map(alpha.splits, poset.diamond_contypes))
 
 
 def _sample_ample_signatures(n: int) -> List[Signature]:
@@ -348,10 +358,11 @@ def nervify(
        searched deterministically: at most 2^7 fibre orderings, at most 256
        orientation vectors per ordering, at most 4096 arrangements in all.
 
-    With ``lambdas`` given, rungs are split only when the double-cover would
-    let some fork among the axioms through, and the postconditions are the
-    per-signature ones the pipeline needs; without it the universal
-    (signature-free) checks are enforced. When no candidate passes, the
+    With ``lambdas`` given, an input that refutes them is refused up front,
+    rungs are split only when the double-cover would let some fork among the
+    axioms through, and the postconditions are the per-signature ones the
+    pipeline needs; without it the universal (signature-free) checks are
+    enforced. When no candidate passes, the
     ConstructionPostconditionFailed message counts the candidates verified
     and the orderings the rung plan rejected, and says whether the cap on
     arrangements stopped the search."""
@@ -360,13 +371,11 @@ def nervify(
     if is_graded(poset) is None:
         raise NotGraded("nervification needs a graded poset")
     if lambdas is not None:
-        lambdas = set(lambdas)
+        lambdas = _preconditions(poset, lambdas)
 
     n = height(poset)
-    tree, last = tree_unravelling(poset)
-    tops = [i for i in range(tree.n) if tree.depths[i] == 0]
+    tree, last, lex_fibres, base_trace = _tree_scaffold(poset)
     base_trunk = [i for i in range(tree.n) if tree.depths[i] != 0]
-    base_trace: List[dict] = [{"step": "tree_unravelling", "size": tree.n}]
 
     base_labels = [tree.labels[i] for i in base_trunk]
     base_edges = [
@@ -375,12 +384,6 @@ def nervify(
         for j in tree.covers_up[i]
         if tree.depths[j] != 0
     ]
-
-    lex_fibres: Dict[str, List[int]] = {}
-    for t in tops:
-        lex_fibres.setdefault(last(tree.labels[t]), []).append(t)
-    for u in lex_fibres:
-        lex_fibres[u].sort(key=lambda t: tree.labels[t])
 
     # Penultimate rung of each branch, and the top elements incident to it.
     pen_of: Dict[int, int] = {}
@@ -593,30 +596,13 @@ def nervify(
                 yield build_chevrons(fibres, attachments, copies_of, removed, split_trace, orient)
 
     guarded = _sample_ample_signatures(n) if lambdas is None else lambdas
-
-    def verify(result: ConstructionResult, profiled, split) -> None:
-        output = result.output
-        for alpha in guarded:
-            _require(
-                lambdas is None or is_alpha_connected(output, alpha),
-                f"nervification output lost {alpha}-connectedness",
-            )
-            _require(
-                _diamond_connected_plain(output, alpha),
-                f"nervification output has a splittable diamond for {alpha}",
-            )
-        if lambdas is None:
-            _verify_nervify_profiles(result, poset, profiled, split)
-        _verify_witness(result)
-        _require(output.root() is not None, "nervification output must stay rooted")
-        _require(height(output) == n, "nervification must preserve height")
-        _require(is_graded(output) is not None, "nervification output must be graded")
-
     failure: Optional[Exception] = None
     for result, profiled, split in candidates():
         verified += 1
         try:
-            verify(result, profiled, split)
+            if lambdas is None:
+                _check_profiles(result, poset, profiled, split)
+            _verify(result, poset, upsets=lambdas or (), diamonds=guarded)
             return result
         except ConstructionPostconditionFailed as exc:
             failure = exc
@@ -626,28 +612,6 @@ def nervify(
         f"{'stopped' if capped else 'not stopped'} by the cap of 4096 arrangements; "
         f"last failure: {failure}"
     )
-
-
-def _verify_nervify_profiles(result, base, labels, split) -> None:
-    """Strict-upset profiles of the given output labels must match the base
-    pointwise, with exactly two sanctioned exceptions: a singly-topped middle
-    rung may see a two-point antichain where the base sees one point (two
-    chevron tops, no fork in any legal axiom set can use it), and a split
-    copy sees exactly one point per incident top (``split`` maps each copy
-    to that number)."""
-    output, witness = result.output, result.witness
-    for lab in labels:
-        got, want = _profile(output, lab), _profile(base, witness(lab))
-        if got != want and (got, want) != ((1, 1), (1,)):
-            raise ConstructionPostconditionFailed(
-                f"profile not preserved at {lab!r}: {_text(got)} vs {_text(want)}"
-            )
-    for lab, top_count in split.items():
-        got, expected = _profile(output, lab), (1,) * top_count
-        if got != expected:
-            raise ConstructionPostconditionFailed(
-                f"split rung {lab!r} has profile {_text(got)}, expected {_text(expected)}"
-            )
 
 
 def starlike_witness(poset: FinitePoset, lambdas: Iterable[Signature]) -> ConstructionResult:
@@ -666,14 +630,5 @@ def starlike_witness(poset: FinitePoset, lambdas: Iterable[Signature]) -> Constr
     result = ConstructionResult(
         step_two.output, witness, step_one.trace + step_two.trace
     )
-    _verify_witness(result)
-    for alpha in lambdas:
-        _require(
-            is_alpha_nerve_connected(result.output, alpha),
-            f"pipeline output is not {alpha}-nerve-connected",
-        )
-        _require(
-            nerve_is_alpha_connected(result.output, alpha),
-            f"the nerve of the pipeline output is not {alpha}-connected",
-        )
+    _verify(result, poset, upsets=lambdas, diamonds=lambdas, nerves=lambdas)
     return result

@@ -71,7 +71,10 @@ class Signature:
         """The j-th height (1-indexed, descending)."""
         if not 1 <= j <= self.size:
             raise IndexError(f"signature index {j} out of range 1..{self.size}")
-        return self.heights[j - 1]
+        for n, m in self.entries:
+            if j <= m:
+                return n
+            j -= m
 
     @property
     def is_empty(self) -> bool:
@@ -90,8 +93,18 @@ class Signature:
     # -- ordering ------------------------------------------------------------
 
     def leq(self, other: "Signature") -> bool:
-        """Pointwise order on descending expansions, shorter below longer."""
-        return self.size <= other.size and _below(self.heights, other.heights)
+        """Pointwise order on descending expansions, shorter below longer.
+        Both expansions descend, so each run of equal heights need only be
+        compared at its last position; a huge multiplicity is never
+        expanded."""
+        if self.size > other.size:
+            return False
+        end = 0
+        for n, m in self.entries:
+            end += m
+            if n > other.at(end):
+                return False
+        return True
 
     def splits(self, contype: Tuple[int, ...]) -> bool:
         """Whether a set of connectedness type ``contype`` (its component

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from itertools import combinations_with_replacement
@@ -8,13 +9,16 @@ import polynerve as pn
 from polynerve import Signature, validate_poset
 from polynerve.constructions import (
     ConstructionResult,
+    _check_profiles,
     _sample_ample_signatures,
-    _verify_nervify_profiles,
+    _verify,
 )
 from polynerve.errors import (
     ConstructionPostconditionFailed,
+    ForbiddenSignature,
     NotGraded,
     NotRooted,
+    PolynerveError,
     PreconditionViolated,
 )
 
@@ -153,10 +157,8 @@ def test_nervify_double_chain(double_chain):
     assert len(result.output) == 11  # nine tree elements plus the ladder
     assert pn.is_graded(result.output) is not None
     # the previously splittable diamond between root and top is now tangled
-    from polynerve.constructions import _diamond_connected_plain
-
     for alpha in [S("2.1"), S("2^2"), S("1^3")]:
-        assert _diamond_connected_plain(result.output, alpha)
+        assert not any(map(alpha.splits, result.output.diamond_contypes))
 
 
 def test_nervify_chain_unchanged():
@@ -170,11 +172,16 @@ def test_nervify_preconditions(theta_frame):
         pn.nervify(theta_frame)  # theta_frame is not graded
     with pytest.raises(NotRooted):
         pn.nervify(make_antichain(2))
+    # an input that refutes its own axioms is refused before any candidate
+    # is built: an up-reduction's image keeps validity, so none could pass
+    fork = pn.starlike_tree(S("1^3"))
+    with pytest.raises(PreconditionViolated, match="validate its own starlike logic"):
+        pn.nervify(fork, [S("1^3")])
+    with pytest.raises(ForbiddenSignature):
+        pn.nervify(make_chain(3), [S("1^2")])
 
 
 def test_nervify_makes_diamonds_unsplittable(double_chain):
-    from polynerve.constructions import _diamond_connected_plain
-
     for poset in sample_posets(40, 6, seed=101, rooted=True):
         if pn.is_graded(poset) is None:
             continue
@@ -182,7 +189,7 @@ def test_nervify_makes_diamonds_unsplittable(double_chain):
         check_result(result, poset)
         n = pn.height(poset)
         for alpha in [S("1^3"), S("2.1"), S("2^2"), S("3.1")]:
-            assert _diamond_connected_plain(result.output, alpha)
+            assert not any(map(alpha.splits, result.output.diamond_contypes))
         assert all(len(ct) <= 1 or ct == (1, 1) for ct in result.output.diamond_contypes)
         # strict-upset types survive on the tree part, so validity does too
         for alpha in [S("2.1"), S("1^3"), S("2^2")]:
@@ -278,9 +285,47 @@ def test_split_rung_copy_sees_one_point_per_top():
     mapping = {"r": "r", "p%1": "p", "p%2": "p", "a": "t", "b": "t", "c": "t"}
     result = ConstructionResult(output, pn.PMorphism(output, base, frozenset(mapping), mapping))
     assert pn.is_up_reduction(result.witness)
-    _verify_nervify_profiles(result, base, ["a", "b", "c"], {"p%1": 2, "p%2": 1})
+    _check_profiles(result, base, ["a", "b", "c"], {"p%1": 2, "p%2": 1})
     with pytest.raises(ConstructionPostconditionFailed, match=r"'p%1' has profile 1\^2, expected 1$"):
-        _verify_nervify_profiles(result, base, ["a", "b", "c"], {"p%1": 1, "p%2": 1})
+        _check_profiles(result, base, ["a", "b", "c"], {"p%1": 1, "p%2": 1})
+
+
+# -- the verifier ---------------------------------------------------------------------------
+
+# output, base, witness (None for the identity), checks, message: each
+# hand-built result breaks one postcondition. A witness onto a rooted base
+# that skips the output's root also lifts the height, so the non-total case
+# breaks that too; totality is checked first.
+BROKEN = {
+    "non-total": ("r<a<t", "b0<b1", {"a": "b0", "t": "b1"}, {}, "total"),
+    "non-surjective": ("c0<c1<c2", "b0<y<z; b0<x", {"c0": "y", "c1": "z", "c2": "z"}, {}, "surjective"),
+    "unrooted": ("a,b", "s", {"a": "s", "b": "s"}, {}, "rooted"),
+    "ungraded": (
+        "r<a<b<t; r<c<t",
+        "c0<c1<c2<c3",
+        {"r": "c0", "a": "c1", "b": "c2", "t": "c3", "c": "c2"},
+        {},
+        "graded",
+    ),
+    "changed height": ("c0<c1<c2", "b0<b1", {"c0": "b0", "c1": "b1", "c2": "b1"}, {}, "height"),
+    "split upset": ("r<a,b,c", "r<a,b,c", None, {"upsets": [S("1^3")]}, r"lost 1\^3-connectedness"),
+    "split diamond": (
+        "r<a,b,c<t",
+        "r<a,b,c<t",
+        None,
+        {"upsets": [S("1^3")], "diamonds": [S("1^3")]},
+        r"splittable diamond for 1\^3",
+    ),
+}
+
+
+@pytest.mark.parametrize("output_spec, base_spec, mapping, checks, message", BROKEN.values(), ids=list(BROKEN))
+def test_verifier_refuses_each_broken_postcondition(output_spec, base_spec, mapping, checks, message):
+    output, base = layered_frame(output_spec), layered_frame(base_spec)
+    mapping = mapping or {lab: lab for lab in output.labels}
+    result = ConstructionResult(output, pn.PMorphism(output, base, frozenset(mapping), mapping))
+    with pytest.raises(ConstructionPostconditionFailed, match=message):
+        _verify(result, base, **checks)
 
 
 # -- the full pipeline ----------------------------------------------------------------------
@@ -308,30 +353,43 @@ def test_starlike_witness_trace_export(theta_frame):
     assert all("step" in step for step in trace)
 
 
+RESISTANT_FRAME = "rt<x0,x1,x2; x0,x2<x3; x1,x3<x4,x5"
+
+
 def test_resistant_frame_fails_honestly():
-    """A frame of the convex-polyhedra logic for which no verified witness
-    seems to exist: the back condition plants a tall chain and a stray point
-    over every maximal root preimage, the Scott axiom demands they connect,
-    and any connecting top splits a diamond. The pipeline must refuse with a
+    """A frame of the convex-polyhedra logic that the pipeline's candidate
+    families do not cover: the back condition plants a tall chain and a
+    stray point over every maximal root preimage, the Scott axiom demands
+    they connect, and every connecting top that gradify and nervify build
+    splits a diamond. A witness does exist outside those families (see
+    test_resistant_frame_has_a_certified_witness), so the refusal is the
+    pipeline's limit, not the frame's. The pipeline must refuse with a
     postcondition error rather than return an unverified output."""
-    frame = validate_poset(
-        ["rt", "x0", "x1", "x2", "x3", "x4", "x5"],
-        [
-            ("rt", "x0"),
-            ("rt", "x1"),
-            ("rt", "x2"),
-            ("x0", "x3"),
-            ("x2", "x3"),
-            ("x1", "x4"),
-            ("x1", "x5"),
-            ("x3", "x4"),
-            ("x3", "x5"),
-        ],
-    )
+    frame = layered_frame(RESISTANT_FRAME)
     lambdas = [S("2.1"), S("1^3")]
     assert pn.validates_sfl(frame, lambdas)
     with pytest.raises(ConstructionPostconditionFailed):
         pn.starlike_witness(frame, lambdas)
+
+
+def test_resistant_frame_has_a_certified_witness():
+    """A 10-element graded frame of height 3 reduces onto the resistant
+    frame and passes the pipeline's final verifier; its materialised nerve
+    validates the logic too."""
+    frame = layered_frame(RESISTANT_FRAME)
+    cover = layered_frame(
+        "g0<g1,g3,g7; g1<g4,g8; g2<g5,g6; g3<g4,g9; g4<g5,g6; g7<g2,g8,g9; g8<g5; g9<g6"
+    )
+    mapping = dict(zip([f"g{i}" for i in range(10)], "rt x0 x1 x2 x3 x4 x5 x1 x4 x5".split()))
+    lambdas = [S("2.1"), S("1^3")]
+    witness = pn.PMorphism(cover, frame, frozenset(mapping), mapping)
+    assert pn.is_up_reduction(witness)
+    assert pn.is_graded(cover) is not None and pn.height(cover) == pn.height(frame) == 3
+    _verify(ConstructionResult(cover, witness), frame, upsets=lambdas, diamonds=lambdas, nerves=lambdas)
+    for alpha in lambdas:
+        assert pn.is_alpha_nerve_connected(cover, alpha)
+    nerve = pn.nerve(cover)
+    assert len(nerve) == 77 and pn.validates_sfl(nerve, lambdas)
 
 
 def test_starlike_witness_random_pipeline():
@@ -348,3 +406,46 @@ def test_starlike_witness_random_pipeline():
             assert pn.is_alpha_nerve_connected(result.output, alpha)
             assert pn.nerve_is_alpha_connected(result.output, alpha)
     assert done >= 20
+
+
+# -- byte identity ---------------------------------------------------------------------------
+
+
+def construction_lines():
+    """One line per construction call on 60 seeded rooted frames of 4-8
+    elements: nervify without Lambda on every graded frame, and for every
+    pool entry the frame validates, its gradify regime, the pipeline and
+    (on graded frames) nervify with Lambda. A line holds the output, the
+    witness and the trace as JSON, or the class of the refusal."""
+    rng = random.Random(211)
+    for k in range(60):
+        frame = pn.random_rooted_poset(rng.randint(4, 8), rng)
+        graded = pn.is_graded(frame) is not None
+        calls = [("nervify", pn.nervify, (frame,))] if graded else []
+        for lambdas in LAMBDA_POOL:
+            if not pn.validates_sfl(frame, lambdas):
+                continue
+            gradify = pn.gradify_with_scott if S("2.1") in lambdas else pn.gradify_without_scott
+            calls += [("gradify", gradify, (frame, lambdas)), ("witness", pn.starlike_witness, (frame, lambdas))]
+            if graded:
+                calls.append(("nervify_lambdas", pn.nervify, (frame, lambdas)))
+        for name, fn, args in calls:
+            try:
+                result = fn(*args)
+                out = result.output.to_json() + result.witness.to_json() + result.trace_json()
+            except PolynerveError as exc:
+                out = "refused " + type(exc).__name__
+            yield f"{k} {name} {out}"
+
+
+def test_construction_bytes_are_pinned():
+    """Outputs, witnesses and traces of every construction stay byte for
+    byte what they were when the digest was recorded; CI reruns this file
+    under a second hash seed."""
+    digest = hashlib.sha256()
+    count = 0
+    for line in construction_lines():
+        digest.update(line.encode() + b"\n")
+        count += 1
+    assert count == 463
+    assert digest.hexdigest() == "8364be768e76a1712bbe20456ec8866ac4a9d95041cb9261cdce25fd08cb5c04"

@@ -1,7 +1,9 @@
-"""No function in the package calls itself: the parser, the chain walk and
-the backtracking searches keep explicit stacks, so their declared limits
-(MAX_NESTING, the chain budget, the search budget), not the interpreter's
-recursion limit, decide what they refuse."""
+"""Two guards over the package source. No function in the package calls
+itself: the parser, the chain walk and the backtracking searches keep
+explicit stacks, so their declared limits (MAX_NESTING, the chain budget,
+the search budget), not the interpreter's recursion limit, decide what they
+refuse. And the constructions refuse unverified output from one verifier,
+one profile check and nervify's final refusal only."""
 import ast
 import os
 import subprocess
@@ -49,6 +51,38 @@ def test_no_function_in_the_package_calls_itself():
     }
     assert found == {}
     assert not any("RecursionError" in path.read_text() for path in SOURCES)
+
+
+def _postcondition_raises(tree):
+    """(function name, line) for every raise of ConstructionPostconditionFailed,
+    attributed to each function that encloses it."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if "ConstructionPostconditionFailed" in (getattr(exc, "id", None), getattr(exc, "attr", None)):
+                found.append((fn.name, node.lineno))
+    return found
+
+
+def test_guard_finds_postcondition_raises():
+    tree = ast.parse(
+        "def check(ok):\n    if not ok:\n        raise ConstructionPostconditionFailed('no')\n"
+        "def build():\n    def inner():\n        raise errors.ConstructionPostconditionFailed\n"
+        "    raise ValueError('other')\n"
+    )
+    assert _postcondition_raises(tree) == [("check", 3), ("build", 6), ("inner", 6)]
+
+
+def test_constructions_refuse_through_one_verifier():
+    source = Path(polynerve.__file__).parent / "constructions.py"
+    names = [name for name, _ in _postcondition_raises(ast.parse(source.read_text()))]
+    assert set(names) == {"_verify", "_check_profiles", "nervify"}
+    assert names.count("nervify") == 1  # the final refusal, after every candidate
 
 
 LOW_LIMIT_SCRIPT = """

@@ -35,7 +35,9 @@ def test_huge_multiplicities_are_never_expanded():
     huge = Signature.parse("1^1000000000")
     assert huge.size == 10**9 and huge.text() == "1^1000000000"
     assert not huge.splits((3, 2, 1)) and not huge.leq(Signature.parse("5^3"))
-    assert "heights" not in huge.__dict__  # sizes are compared first
+    assert not Signature.parse("2").leq(huge) and Signature.parse("1^5").leq(huge)
+    assert huge.at(10**9) == 1
+    assert "heights" not in huge.__dict__  # entries are walked run by run
 
 
 def test_heights_expansion_and_indexing():
@@ -70,6 +72,13 @@ def test_leq_is_a_partial_order(a, b, c):
         assert a == b
     if a.leq(b) and b.leq(c):
         assert a.leq(c)
+
+
+@given(signatures, signatures)
+def test_leq_and_at_match_the_expansion(a, b):
+    expanded = a.size <= b.size and all(x <= y for x, y in zip(a.heights, b.heights))
+    assert a.leq(b) == expanded
+    assert tuple(a.at(j) for j in range(1, a.size + 1)) == a.heights
 
 
 @given(signatures)
