@@ -6,7 +6,7 @@ integers; Smith normal form is separate."""
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
 from numbers import Rational
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -27,17 +27,35 @@ def _solve_integer(tableau: List[Sequence[int]], width: int) -> Optional[Tuple[L
 
 
 def rank_exact(matrix: Sequence[Sequence[Fraction]]) -> int:
-    return len(_reduce(matrix, len(matrix[0]) if matrix else 0)[1])
+    return len(_eliminate([_integer_row(row)[0] for row in matrix], len(matrix[0]) if matrix else 0)[0])
 
 
-def determinant(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
-    n = len(matrix)
-    _, pivots, denom, scale = _reduce(matrix, n)
+def _integer_determinant(tableau: List[Sequence[int]]) -> int:
+    """The determinant of a square integer matrix, replacing the list's rows:
+    D, or 0 below full rank, with the sign of the pivots' row order and of
+    every negating pivot."""
+    n = len(tableau)
+    pivots, denom, sign = _eliminate(tableau, n)
     if len(pivots) < n:
-        return Fraction(0)
+        return 0
     rows = list(pivots)
     swaps = sum(a > b for i, a in enumerate(rows) for b in rows[i + 1 :])
-    return Fraction((-1) ** swaps * denom, scale)
+    return (-1) ** swaps * sign * denom
+
+
+def _normal(tableau: List[Sequence[int]]) -> List[int]:
+    """A nonzero integer vector orthogonal to the rows of an integer matrix
+    of full rank with one column more than rows, replacing the list's rows.
+    Each pivot row ends as D at its pivot column plus its entry e at the one
+    free column, so x = D there and -e at that pivot column solves it."""
+    width = len(tableau[0])
+    pivots, denom, _ = _eliminate(tableau, width)
+    free = next(col for col in range(width) if col not in pivots.values())
+    normal = [0] * width
+    normal[free] = denom
+    for row, col in pivots.items():
+        normal[col] = -tableau[row][free]
+    return normal
 
 
 def _integer_row(entries: Sequence[Rational]) -> Tuple[List[int], int]:
@@ -46,25 +64,14 @@ def _integer_row(entries: Sequence[Rational]) -> Tuple[List[int], int]:
     return [v.numerator * (scale // v.denominator) for v in entries], scale
 
 
-def _reduce(rows: Sequence[Sequence[Rational]], width: int):
-    """Fraction-free Gauss-Jordan elimination of the rows, each first scaled
-    to integers, on their first `width` columns: column by column, pivot on
-    the first row not yet pivoted whose entry there is nonzero. Returns the
-    tableau, the pivots as {row: column} in column order, the final
-    denominator D, and the product of the row scales, negated once per
-    pivot that negated the tableau. A pivot row holds D times its solution;
-    D over that product is the determinant of the input's pivot block, rows
-    in pivot order."""
-    scaled = [_integer_row(row) for row in rows]
-    tableau = [ints for ints, _ in scaled]
-    pivots, denom, sign = _eliminate(tableau, width)
-    return tableau, pivots, denom, sign * prod(row_scale for _, row_scale in scaled)
-
-
 def _eliminate(tableau: List[Sequence[int]], width: int) -> Tuple[Dict[int, int], int, int]:
-    """The elimination loop of _reduce on an integer tableau, replacing its
-    rows: the pivots, the final denominator, and -1 to the number of
-    negating pivots."""
+    """Fraction-free Gauss-Jordan elimination of an integer tableau on its
+    first `width` columns, replacing its rows: column by column, pivot on the
+    first row not yet pivoted whose entry there is nonzero. Returns the
+    pivots as {row: column} in column order, the final denominator D, and -1
+    to the number of negating pivots. A pivot row holds D times its
+    solution, and D times that sign is the determinant of the pivot block,
+    rows in pivot order."""
     pivots: Dict[int, int] = {}
     denom, sign = 1, 1
     for col in range(width):

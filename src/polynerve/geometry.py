@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import lcm, prod
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import (
@@ -27,7 +27,16 @@ from .errors import (
     SizeBudgetExceeded,
     UnknownElement,
 )
-from .exactla import _integer_row, _solve_integer, determinant, lp_maximize, rank_exact, smith_divisors
+from .exactla import (
+    _eliminate,
+    _integer_determinant,
+    _integer_row,
+    _normal,
+    _solve_integer,
+    lp_maximize,
+    rank_exact,
+    smith_divisors,
+)
 from .nerves import nerve
 from .posets import FinitePoset, _bits, poset_from_cover_dag
 from .semantics import UpsetAlgebra
@@ -165,19 +174,27 @@ class Simplex:
     def barycentric_coords(self, point: Sequence) -> Optional[Tuple[Fraction, ...]]:
         """Coefficients of the point over the vertices (summing to one), or
         None when the point is outside the affine span."""
-        point = rational_point(point)
+        coords = self._integer_coords(rational_point(point))
+        if coords is None:
+            return None
+        numerators, denom = coords
+        return tuple(Fraction(m, denom) for m in numerators)
+
+    def _integer_coords(self, point: RationalPoint) -> Optional[Tuple[List[int], int]]:
+        """barycentric_coords as integer numerators over one positive
+        denominator, or None."""
         if len(point) != self.ambient_dim:
             raise DimensionMismatch(
                 f"a point of Q^{len(point)} tested against a simplex in Q^{self.ambient_dim}"
             )
         # the solution of sum_v m_v (q_v v, q_v) = (q p, q) is m_v = c_v q / q_v
-        q = point._homogeneous[-1]
         tableau = [(*row, b) for row, b in zip(self._integer_matrix, point._homogeneous)]
         solution = _solve_integer(tableau, len(self.vertices))
         if solution is None:
             return None
         numerators, denom = solution
-        return tuple(Fraction(m * v._homogeneous[-1], denom * q) for m, v in zip(numerators, self.vertices))
+        scaled = [m * v._homogeneous[-1] for m, v in zip(numerators, self.vertices)]
+        return scaled, denom * point._homogeneous[-1]
 
     def contains(self, point: Sequence) -> bool:
         coords = self.barycentric_coords(point)
@@ -319,16 +336,28 @@ def _bounding_boxes_apart(s: Simplex, t: Simplex) -> bool:
 def _intersection_is_common_face(s: Simplex, t: Simplex) -> bool:
     """Exact check that s ∩ t equals the face spanned by the shared vertices.
 
-    Decided by LP: a common point is a pair of convex combinations agreeing
-    coordinatewise; the intersection sticks out of the shared face iff some
-    such pair puts positive weight on a non-shared vertex. The LP runs on
-    the integer matrices, in the weights divided by each vertex's q: a
-    positive rescaling of the variables, which keeps the answer."""
+    Two integer certificates on the homogeneous vertex vectors settle most
+    pairs. If the union of the vertices is affinely independent, s and t are
+    faces of the simplex it spans. If the facet hyperplanes of one through
+    every shared vertex put the other's unshared vertices beyond them
+    (_facet_separates), the two meet in the shared face.
+
+    The other pairs are decided by LP: a common point is a pair of convex
+    combinations agreeing coordinatewise; the intersection sticks out of the
+    shared face iff some such pair puts positive weight on a non-shared
+    vertex. The LP runs on the integer matrices, in the weights divided by
+    each vertex's q: a positive rescaling of the variables, which keeps the
+    answer."""
     if _bounding_boxes_apart(s, t):
         return True
     shared = s.vertex_set & t.vertex_set
     if len(shared) in (len(s.vertices), len(t.vertices)):
         return True  # one is a face of the other
+    union = [v._homogeneous for v in s.vertices] + [v._homogeneous for v in t.vertices if v not in shared]
+    if len(union) <= len(union[0]) and len(_eliminate(union, len(union[0]))[0]) == len(union):
+        return True
+    if _facet_separates(s, t, shared) or _facet_separates(t, s, shared):
+        return True
     *s_rows, s_q = s._integer_matrix
     *t_rows, t_q = t._integer_matrix
     rows = [[*a, *(-c for c in b)] for a, b in zip(s_rows, t_rows)]
@@ -341,6 +370,34 @@ def _intersection_is_common_face(s: Simplex, t: Simplex) -> bool:
     if not shared:
         return False  # they meet but share no vertex
     return best == 0
+
+
+def _facet_separates(s: Simplex, t: Simplex, shared: FrozenSet[RationalPoint]) -> bool:
+    """Whether s is full-dimensional and its facet hyperplanes through every
+    shared vertex, taken in turn, put each unshared vertex of t strictly
+    beyond one of them: at each step no vertex left lies on the side of s,
+    some lie beyond, and those drop out. A common point has weight 0 on the
+    vertices dropped at each step, in turn, so it lies in the shared face.
+    Sides are signs of a facet's integer normal against the homogeneous
+    vectors, whose last entries are positive."""
+    if len(s.vertices) != s.ambient_dim + 1:
+        return False
+    others = [v._homogeneous for v in t.vertices if v not in shared]
+    sides = []  # per facet through the shared vertices: < 0 beyond it, 0 on it
+    for apex in s.vertices:
+        if apex not in shared:
+            normal = _normal([v._homogeneous for v in s.vertices if v is not apex])
+            toward = sum(a * b for a, b in zip(normal, apex._homogeneous))
+            sides.append([sum(a * b for a, b in zip(normal, x)) * toward for x in others])
+    left = range(len(others))
+    while left:
+        for side in sides:
+            if all(side[i] <= 0 for i in left) and any(side[i] for i in left):
+                left = [i for i in left if not side[i]]
+                break
+        else:
+            return False
+    return True
 
 
 def _check_complex(complex_: RationalComplex) -> None:
@@ -375,20 +432,22 @@ def face_poset(complex_: RationalComplex) -> FinitePoset:
     return complex_._face_poset
 
 
-def _locate(point: RationalPoint, tops: Iterable[Simplex]) -> Dict[RationalPoint, Fraction]:
-    """The point's carrier as {vertex: positive barycentric coordinate}, read
-    off the first simplex whose coordinates for it are all >= 0. Carriers are
-    unique, so any maximal simplex holding the point gives the same answer."""
+def _locate(point: RationalPoint, tops: Iterable[Simplex]) -> Tuple[Dict[RationalPoint, int], int]:
+    """The point's carrier as {vertex: positive numerator} and the positive
+    denominator of those barycentric coordinates, read off the first simplex
+    whose coordinates for it are all >= 0. Carriers are unique, so any
+    maximal simplex holding the point gives the same answer."""
     for top in tops:
-        coords = top.barycentric_coords(point)
-        if coords is not None and min(coords) >= 0:
-            return {v: c for v, c in zip(top.vertices, coords) if c > 0}
+        coords = top._integer_coords(point)
+        if coords is not None and min(coords[0]) >= 0:
+            numerators, denom = coords
+            return {v: m for v, m in zip(top.vertices, numerators) if m > 0}, denom
     raise PointOutsideSupport(f"{_format_point(point)} lies outside the support")
 
 
 def carrier(complex_: RationalComplex, point: Sequence) -> Simplex:
     """The unique simplex whose relative interior holds the point."""
-    return Simplex._trusted(_locate(rational_point(point), complex_._maximal))
+    return Simplex._trusted(_locate(rational_point(point), complex_._maximal)[0])
 
 
 def open_star(complex_: RationalComplex, simplex: Simplex) -> FrozenSet[Simplex]:
@@ -409,7 +468,7 @@ def elementary_stellar(complex_: RationalComplex, point: Sequence) -> RationalCo
     exactly when the point is a vertex. A face missing the point misses its
     affine span too, as aff(face) ∩ s = face, so each cone is a simplex."""
     point = rational_point(point)
-    centre = frozenset(_locate(point, complex_._maximal))
+    centre = frozenset(_locate(point, complex_._maximal)[0])
     new_simplices: Set[Simplex] = {Simplex._trusted((point,))}
     for s in complex_.simplices:
         if not centre <= s.vertex_set:
@@ -508,27 +567,29 @@ def is_refinement(finer: RationalComplex, coarser: RationalComplex) -> bool:
     there. Carriers are unique and the coarse side is downward closed, so a
     piece lies in a coarse simplex exactly when the union of its vertices'
     carriers is one, and its chart volume there is the determinant of the
-    tabulated coordinates, zero off each carrier."""
+    tabulated coordinates, zero off each carrier: an integer determinant
+    over the product of the rows' denominators."""
     if not finer.simplices and not coarser.simplices:
         return True
     if not finer.simplices or not coarser.simplices:
         return False
     if finer.ambient_dim != coarser.ambient_dim:
         return False
-    try:  # fine vertex -> {carrier vertex: its positive coordinate}
+    try:  # fine vertex -> ({carrier vertex: its numerator}, their denominator)
         chart = {v: _locate(v, coarser._maximal) for v in finer.vertices}
     except PointOutsideSupport:
         return False
     volume = {s.vertex_set: Fraction(0) for s in coarser.simplices}  # per host
     span = {}  # fine simplex -> vertex set of the coarse simplex it spans
     for piece in finer.simplices:
-        union = frozenset().union(*(chart[v] for v in piece.vertices))
+        union = frozenset().union(*(chart[v][0] for v in piece.vertices))
         if union not in volume:
             return False
         span[piece] = union
         if len(union) == len(piece.vertices):
-            matrix = [[chart[v].get(w, 0) for w in union] for v in piece.vertices]
-            volume[union] += abs(determinant(matrix))
+            rows = [[chart[v][0].get(w, 0) for w in union] for v in piece.vertices]
+            scale = prod(chart[v][1] for v in piece.vertices)
+            volume[union] += Fraction(abs(_integer_determinant(rows)), scale)
     if any(total != 1 for total in volume.values()):
         return False
     # the barycentre of every host must lie in a fine simplex: it is a fine

@@ -5,7 +5,6 @@ targets), poset isomorphism, monotone surjections.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional
 
@@ -264,69 +263,198 @@ def are_isomorphic(
     """An order-isomorphism as a label bijection, or None.
 
     Individualization-refinement, as in nauty/Traces (McKay and Piperno,
-    arXiv:1301.1493). Refinement colours both posets jointly, recolouring
-    each element by its colour and the multisets of colours of its upper and
-    lower covers until no class splits; unequal colour histograms prune the
-    branch. Individualization gives the first left element of the smallest
-    non-singleton class a fresh colour, pairs it in turn with each right
-    element of that class, and searches depth first. A discrete colouring
-    induces a bijection f, accepted only if f maps ``up_mask(i)`` onto
-    ``up_mask(f(i))`` for every element. The budget counts search nodes (one
-    per refined colouring) and is enforced with SearchBudgetExceeded."""
+    arXiv:1301.1493). Refinement (_Partition) splits the cells of one
+    ordered partition of both posets by counts of upper and lower covers in
+    the cells that split last, until no cell splits; a cell with more
+    elements on one side than the other prunes the branch. Individualization
+    takes the smallest non-singleton cell (the first in order among equals),
+    makes its first left element a singleton paired in turn with each right
+    element of that cell, and searches depth first, undoing each choice's
+    splits before the next. A discrete partition induces a bijection f,
+    accepted only if f maps ``up_mask(i)`` onto ``up_mask(f(i))`` for every
+    element. The budget counts search nodes (one per refined partition) and
+    is enforced with SearchBudgetExceeded."""
     if poset.n != other.n:
         return None
-
-    def refine(colours):
-        while True:
-            sigs = [
-                [
-                    (c[i], tuple(sorted(c[j] for j in up)), tuple(sorted(c[j] for j in down)))
-                    for i, (up, down) in enumerate(zip(p.covers_up, p.covers_down))
-                ]
-                for p, c in zip((poset, other), colours)
-            ]
-            palette = {s: k for k, s in enumerate(sorted(set(sigs[0] + sigs[1])))}
-            new = [[palette[s] for s in sig] for sig in sigs]
-            if sorted(new[0]) != sorted(new[1]):
-                return None
-            if len(palette) == len(set(colours[0] + colours[1])):
-                return new
-            colours = new
-
-    nodes = 0
-    branches = [iter([([0] * poset.n, [0] * other.n)])]
-    while branches:
-        colours = next(branches[-1], None)
-        if colours is None:
-            branches.pop()
-            continue
-        nodes += 1
-        if nodes > budget:
-            raise SearchBudgetExceeded(f"isomorphism search exceeded {budget} nodes")
-        colours = refine(colours)
-        if colours is None:
-            continue
-        left, right = colours
-        cells = [(size, c) for c, size in Counter(left).items() if size > 1]
-        if cells:
-            branches.append(_individualized(left, right, min(cells)[1]))
-            continue
-        f = [right.index(c) for c in left]
-        if all(
-            sum(1 << f[k] for k in _bits(poset.up_mask(i))) == other.up_mask(f[i])
-            for i in range(poset.n)
-        ):
-            return {poset.labels[i]: other.labels[j] for i, j in enumerate(f)}
-    return None
+    refusal = f"isomorphism search exceeded {budget} nodes"
+    if budget < 1:
+        raise SearchBudgetExceeded(refusal)
+    nodes = 1
+    cells = _Partition(poset, other)
+    if not cells.refine(cells.split(0, _by_degree(poset, other))):
+        return None
+    left, right = cells.members
+    stack = []  # [cell, its first left element, its right elements, next choice, trail mark]
+    while True:
+        if cells.big:
+            cell = min(cells.big, key=lambda c: (len(left[c]), cells.start[c]))
+            stack.append([cell, min(left[cell]), sorted(right[cell]), 0, len(cells.trail)])
+        else:
+            f = [next(iter(right[c])) for c in cells.cell[0]]
+            if all(
+                sum(1 << f[k] for k in _bits(poset.up_mask(i))) == other.up_mask(f[i])
+                for i in range(poset.n)
+            ):
+                return {poset.labels[i]: other.labels[j] for i, j in enumerate(f)}
+        while stack:
+            frame = stack[-1]
+            cell, v, choices, k, mark = frame
+            cells.undo(mark)
+            if k == len(choices):
+                stack.pop()
+                continue
+            frame[3] += 1
+            nodes += 1
+            if nodes > budget:
+                raise SearchBudgetExceeded(refusal)
+            if cells.refine(cells.split(cell, [([v], [choices[k]]), None])):
+                break
+        else:
+            return None
 
 
-def _individualized(left: List[int], right: List[int], cell: int):
-    """The children of a search node: the first left element of colour
-    ``cell`` gets a fresh colour, paired with each right element of it."""
-    v = left.index(cell)
-    for w, c in enumerate(right):
-        if c == cell:
-            yield left[:v] + [-1] + left[v + 1 :], right[:w] + [-1] + right[w + 1 :]
+def _by_degree(poset: FinitePoset, other: FinitePoset) -> List[tuple]:
+    """Both posets' elements as (left, right) lists, grouped by their numbers
+    of upper and lower covers, in the order of those numbers."""
+    groups: Dict[tuple, tuple] = {}
+    for side, p in enumerate((poset, other)):
+        for i in range(p.n):
+            groups.setdefault((len(p.covers_up[i]), len(p.covers_down[i])), ([], []))[side].append(i)
+    return [groups[key] for key in sorted(groups)]
+
+
+_ZERO = (0, 0)  # closes every refinement key: the zero vector from there on
+
+
+class _Partition:
+    """One ordered partition of the elements of two posets of equal size
+    into cells, each a set of left and a set of right elements. A cell is an
+    id; ``start`` orders the cells, a cell's start being the number of left
+    elements in the cells before it. Splits are recorded on ``trail`` and
+    undone in reverse.
+
+    ``refine`` reaches the colouring that recolouring every element by its
+    colour and the sorted colours of its upper and of its lower covers
+    would reach, round by round, in the same cell order (the former search,
+    kept in the tests as its oracle), but it counts only covers into the
+    cells that split in the previous round, all but the largest of each
+    split (Hopcroft's rule; Paige and Tarjan, SIAM J. Comput. 1987). Within
+    a cell the counts into each parent cell agree, so the count into its
+    largest piece follows from the others, and comparing sorted colour
+    tuples reduces to comparing the counts piece by piece, in order, the
+    larger count first. Each touched element's counts make a sparse key
+    that sorts as that comparison does; untouched elements keep their cell
+    and sort as the zero vector."""
+
+    def __init__(self, poset: FinitePoset, other: FinitePoset):
+        self.posets = (poset, other)
+        self.cell = ([0] * poset.n, [0] * other.n)
+        self.members: tuple = ([set(range(poset.n))], [set(range(other.n))])
+        self.start = [0]
+        self.big = {0} if poset.n > 1 else set()
+        self.trail: List[tuple] = []
+
+    def split(self, c: int, parts: list) -> Optional[List[int]]:
+        """Replace cell ``c`` by ``parts`` in order, each a pair of lists of
+        left and right elements of ``c``, except at most one None that
+        stands for the rest of ``c`` and keeps its id (without one, the
+        first part does). The cells' ids in order, or None if a listed part
+        has more elements on one side than the other."""
+        if any(part is not None and len(part[0]) != len(part[1]) for part in parts):
+            return None
+        if None not in parts:
+            parts = [None, *parts[1:]]
+        members, cell = self.members, self.cell
+        for part in parts:
+            if part is not None:
+                for side, elems in enumerate(part):
+                    members[side][c].difference_update(elems)
+        pos = self.start[c]
+        self.trail.append((c, pos, len(self.start)))
+        ids = []
+        for part in parts:
+            if part is None:
+                new, size = c, len(members[0][c])
+            else:
+                new, size = len(self.start), len(part[0])
+                self.start.append(pos)
+                for side, elems in enumerate(part):
+                    members[side].append(set(elems))
+                    for x in elems:
+                        cell[side][x] = new
+                if size > 1:
+                    self.big.add(new)
+            self.start[new] = pos
+            pos += size
+            ids.append(new)
+        if len(members[0][c]) < 2:
+            self.big.discard(c)
+        return ids
+
+    def refine(self, ids: Optional[List[int]]) -> bool:
+        """Refine from the cells ``ids`` that one cell was just split into,
+        round by round, until no cell splits; False if ``ids`` is None or a
+        split is unbalanced."""
+        if ids is None:
+            return False
+        members, n = self.members, len(self.cell[0])
+        far = 2 * n + 1  # past every position: upper covers at start, lower at n + start
+        groups = [ids]
+        while groups:
+            counts: tuple = ({}, {})  # element -> {position: entry of its sparse key}
+            for pieces in groups:
+                sizes = [len(members[0][c]) for c in pieces]
+                top = self.start[pieces[sizes.index(max(sizes))]]
+                for c in pieces:
+                    pos = self.start[c]
+                    if pos == top:
+                        continue
+                    for side, p in enumerate(self.posets):
+                        tally = counts[side]
+                        for u in members[side][c]:
+                            for shift, covered in ((0, p.covers_down[u]), (n, p.covers_up[u])):
+                                for w in covered:
+                                    entries = tally.setdefault(w, {})
+                                    entries[shift + pos] = entries.get(shift + pos, 0) - 1
+                                    entries[shift + top] = entries.get(shift + top, 0) + 1
+            touched: Dict[int, dict] = {}  # cell -> {key: (left elements, right elements)}
+            for side, tally in enumerate(counts):
+                for w, entries in tally.items():
+                    # lexicographic on the dense vector: a negative entry sorts
+                    # below a zero there, a positive one above it
+                    key = tuple(
+                        (q - far, v) if v < 0 else (far - q, v) for q, v in sorted(entries.items())
+                    ) + (_ZERO,)
+                    touched.setdefault(self.cell[side][w], {}).setdefault(key, ([], []))[side].append(w)
+            groups = []
+            for c, by_key in touched.items():
+                rest = [len(members[side][c]) - sum(len(part[side]) for part in by_key.values()) for side in (0, 1)]
+                if rest[0] != rest[1]:
+                    return False
+                order = sorted([*by_key, (_ZERO,)] if rest[0] else by_key)
+                if len(order) > 1:
+                    pieces = self.split(c, [by_key.get(key) for key in order])
+                    if pieces is None:
+                        return False
+                    groups.append(pieces)
+        return True
+
+    def undo(self, mark: int) -> None:
+        """Merge back every split recorded after the first ``mark``."""
+        members, cell = self.members, self.cell
+        while len(self.trail) > mark:
+            c, pos, first = self.trail.pop()
+            while len(self.start) > first:
+                self.big.discard(len(self.start) - 1)
+                self.start.pop()
+                for side in (0, 1):
+                    elems = members[side].pop()
+                    members[side][c] |= elems
+                    for x in elems:
+                        cell[side][x] = c
+            self.start[c] = pos
+            if len(members[0][c]) > 1:
+                self.big.add(c)
 
 
 def exists_monotone_surjection(

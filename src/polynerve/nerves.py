@@ -10,10 +10,8 @@ from typing import List, Tuple
 
 from .errors import EmptyPoset, SizeBudgetExceeded
 from .morphisms import PMorphism, is_up_reduction
-from .posets import CHAIN_BUDGET, FinitePoset, _bits, poset_from_cover_dag
+from .posets import CHAIN_BUDGET, SIZE_BUDGET, FinitePoset, _bits, poset_from_cover_dag
 from .signatures import Signature
-
-SIZE_BUDGET = 10**6
 
 
 class NervePoset(FinitePoset):

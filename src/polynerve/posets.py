@@ -30,6 +30,7 @@ from .signatures import Signature
 
 COMPLETION_LABEL = "inf"
 CHAIN_BUDGET = 10**6
+SIZE_BUDGET = 10**6  # elements of a poset built whole: nerves, starlike trees
 
 
 class FinitePoset:

@@ -9,15 +9,22 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from .errors import ForbiddenSignature
-from .posets import FinitePoset, poset_from_cover_dag
+from .errors import ForbiddenSignature, SizeBudgetExceeded
+from .posets import SIZE_BUDGET, FinitePoset, poset_from_cover_dag
 from .signatures import DIFORK, Signature
 
 
 def starlike_tree(alpha: Signature) -> FinitePoset:
     """The starlike tree of a signature: a root carrying one chain per
     branch, chain j of length alpha(j). The empty signature gives the
-    singleton. Labels: root "r", branch elements "b<j>.<height>"."""
+    singleton. Labels: root "r", branch elements "b<j>.<height>". Its size,
+    read off the signature's entries, is checked against SIZE_BUDGET before
+    anything is built."""
+    size = 1 + sum(n * m for n, m in alpha.entries)
+    if size > SIZE_BUDGET:
+        raise SizeBudgetExceeded(
+            f"starlike tree would have {size} elements, over the budget of {SIZE_BUDGET}"
+        )
     labels = ["r"]
     covers: List[List[int]] = [[]]
     for j, branch_height in enumerate(alpha.heights, start=1):

@@ -3,7 +3,8 @@ naive brute-force oracles that the fast implementations are tested against.
 The brute-force oracles only ever use itertools-style enumeration, never the
 package's own machinery beyond basic order lookups. The replaced algorithms
 kept as differential oracles (exhaustive_width, backtracking_isomorphism,
-stellar_subdivision, all_pairs_check_complex, scan_carrier, scan_open_star,
+refine_isomorphism, stellar_subdivision, all_pairs_check_complex,
+lp_intersection_is_common_face, scan_carrier, scan_open_star,
 pairwise_open_implies, per_face_stellar, volume_refinement_oracle,
 former_sorted_simplices, former_homogeneous, fraction_lp_maximize,
 fraction_solve_exact, fraction_rank_exact, fraction_determinant,
@@ -11,18 +12,20 @@ naive_counter_valuation, staged_counter_valuation, completion_diamond_connected,
 completion_nerve_connected, recursive_parse_formula, recursive_chain_masks,
 recursive_search_up_reduction, recursive_monotone_surjection) reuse the
 package primitives they were built on: the comparability masks, elementary
-stellar moves, the exact-LP intersection test, barycentric coordinates, the
+stellar moves, the exact LP, barycentric coordinates, the
 face relation of simplices, the upset listing, the completion with a
 synthetic top, the tokenizer and formula nodes, and the order masks. The
 recursive ones recurse once per level of nesting, so they are run only on
-inputs shallow enough for the interpreter's stack. solve_exact is the
-Fraction front end of exactla's integer solver, which only tests use."""
+inputs shallow enough for the interpreter's stack. solve_exact and
+determinant are the Fraction front ends of exactla's integer solver and
+integer determinant, which only tests use."""
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import chain, combinations, product
-from math import lcm
+from math import lcm, prod
 
 import pytest
 
@@ -45,12 +48,13 @@ from polynerve.errors import (
     SearchBudgetExceeded,
     SizeBudgetExceeded,
 )
-from polynerve.exactla import _integer_row, _solve_integer
+from polynerve.exactla import _integer_determinant, _integer_row, _solve_integer
 from polynerve import formulas
 from polynerve.formulas import FALSE, TRUE, And, Const, Imp, Neg, Or, Var, _tokenize
 from polynerve.morphisms import PMorphism, is_up_reduction
 from polynerve.posets import CHAIN_BUDGET, _bits
-from polynerve.geometry import _format_point, _intersection_is_common_face
+from polynerve import geometry
+from polynerve.geometry import _bounding_boxes_apart, _format_point
 from polynerve.semantics import VALUATION_BUDGET, UpsetAlgebra, _flatten, _upsets
 from polynerve.randposets import random_poset, random_rooted_poset
 
@@ -395,6 +399,68 @@ def backtracking_isomorphism(poset: FinitePoset, other: FinitePoset):
     return None
 
 
+def refine_isomorphism(poset: FinitePoset, other: FinitePoset, budget: int = 10**7):
+    """The package's former are_isomorphic: individualization-refinement
+    whose refinement recolours every element of both posets by its colour
+    and the sorted colours of its upper and of its lower covers, round after
+    round, until the number of colours stops growing; each search node
+    (one per refined colouring) copies the colour lists. Same answers, maps,
+    node count and budget as the package's splitter-queue refinement."""
+    if poset.n != other.n:
+        return None
+
+    def refine(colours):
+        while True:
+            sigs = [
+                [
+                    (c[i], tuple(sorted(c[j] for j in up)), tuple(sorted(c[j] for j in down)))
+                    for i, (up, down) in enumerate(zip(p.covers_up, p.covers_down))
+                ]
+                for p, c in zip((poset, other), colours)
+            ]
+            palette = {s: k for k, s in enumerate(sorted(set(sigs[0] + sigs[1])))}
+            new = [[palette[s] for s in sig] for sig in sigs]
+            if sorted(new[0]) != sorted(new[1]):
+                return None
+            if len(palette) == len(set(colours[0] + colours[1])):
+                return new
+            colours = new
+
+    def individualized(left, right, cell):
+        # the first left element of colour ``cell`` gets a fresh colour,
+        # paired with each right element of it
+        v = left.index(cell)
+        for w, c in enumerate(right):
+            if c == cell:
+                yield left[:v] + [-1] + left[v + 1 :], right[:w] + [-1] + right[w + 1 :]
+
+    nodes = 0
+    branches = [iter([([0] * poset.n, [0] * other.n)])]
+    while branches:
+        colours = next(branches[-1], None)
+        if colours is None:
+            branches.pop()
+            continue
+        nodes += 1
+        if nodes > budget:
+            raise SearchBudgetExceeded(f"isomorphism search exceeded {budget} nodes")
+        colours = refine(colours)
+        if colours is None:
+            continue
+        left, right = colours
+        cells = [(size, c) for c, size in Counter(left).items() if size > 1]
+        if cells:
+            branches.append(individualized(left, right, min(cells)[1]))
+            continue
+        f = [right.index(c) for c in left]
+        if all(
+            sum(1 << f[k] for k in _bits(poset.up_mask(i))) == other.up_mask(f[i])
+            for i in range(poset.n)
+        ):
+            return {poset.labels[i]: other.labels[j] for i, j in enumerate(f)}
+    return None
+
+
 def stellar_subdivision(complex_):
     """The barycentric subdivision as the package formerly built it: one
     elementary stellar move at the barycentre of every original simplex, in
@@ -431,8 +497,33 @@ def all_pairs_check_complex(simplices) -> None:
     ordered = sorted(simplices, key=lambda s: (s.dim, s.vertices))
     for i, s in enumerate(ordered):
         for t in ordered[i + 1 :]:
-            if not _intersection_is_common_face(s, t):
+            if not lp_intersection_is_common_face(s, t):
                 raise BadIntersection(f"{s.label()} and {t.label()} do not meet in a common face")
+
+
+def lp_intersection_is_common_face(s, t) -> bool:
+    """The package's former common-face check, an exact LP for every pair
+    whose bounding boxes meet and neither of which is a face of the other:
+    some pair of convex combinations agreeing coordinatewise with positive
+    weight on a non-shared vertex exists iff the intersection sticks out of
+    the shared face. Reads geometry.lp_maximize at call time."""
+    if _bounding_boxes_apart(s, t):
+        return True
+    shared = s.vertex_set & t.vertex_set
+    if len(shared) in (len(s.vertices), len(t.vertices)):
+        return True  # one is a face of the other
+    *s_rows, s_q = s._integer_matrix
+    *t_rows, t_q = t._integer_matrix
+    rows = [[*a, *(-c for c in b)] for a, b in zip(s_rows, t_rows)]
+    rows += [[*s_q] + [0] * len(t_q), [0] * len(s_q) + [*t_q]]
+    rhs = [0] * s.ambient_dim + [1, 1]
+    objective = [q * (v not in shared) for v, q in zip(s.vertices + t.vertices, s_q + t_q)]
+    best = geometry.lp_maximize(rows, rhs, objective)
+    if best is None:
+        return True  # disjoint
+    if not shared:
+        return False  # they meet but share no vertex
+    return best == 0
 
 
 def scan_carrier(complex_, point):
@@ -535,6 +626,13 @@ def solve_exact(matrix, rhs):
         return None
     numerators, denom = solution
     return [Fraction(m, denom) for m in numerators]
+
+
+def determinant(matrix):
+    """The determinant of a square matrix of Fractions, through exactla's
+    integer determinant of the rows scaled to integers."""
+    scaled = [_integer_row(row) for row in matrix]
+    return Fraction(_integer_determinant([ints for ints, _ in scaled]), prod(scale for _, scale in scaled))
 
 
 def fraction_solve_exact(matrix, rhs):

@@ -32,6 +32,7 @@ from conftest import (
     former_homogeneous,
     former_sorted_simplices,
     fraction_lp_maximize,
+    lp_intersection_is_common_face,
     naive_evaluate,
     pairwise_open_implies,
     per_face_stellar,
@@ -486,7 +487,7 @@ def test_elimination_matches_fraction_oracles(monkeypatch):
         assert solution == conftest.fraction_solve_exact(rows, rhs)
         assert exactla.rank_exact(rows) == conftest.fraction_rank_exact(rows)
         square = [(row * len(rows))[: len(rows)] for row in rows]  # columns cycled
-        det = exactla.determinant(square)
+        det = conftest.determinant(square)
         assert det == conftest.fraction_determinant(square)
         assert all(type(v) is Fr for v in [det] + (solution or []))
         seen["inconsistent" if solution is None else "solved"] += 1
@@ -579,6 +580,54 @@ def test_intersection_test_matches_fraction_lp(monkeypatch, triangle, tetrahedro
     monkeypatch.setattr(geometry, "lp_maximize", fraction_lp_maximize)
     assert answers == [geometry._intersection_is_common_face(s, t) for s, t in pairs]
     assert answers.count(True) > 800 and answers.count(False) > 100
+
+
+def _simplex_pair(rng):
+    """(kind, s, t): two simplices in Q^1-Q^3 with coordinates in
+    {-2, ..., 2} / {1, 2}, t made of vertices of s and fresh points. Both are
+    full-dimensional and share a facet of s, one vertex or none; or one of
+    them is of lower dimension and they share any number of vertices."""
+    ambient = rng.randint(1, 3)
+    kind = rng.choice(("facet", "vertex", "apart", "lower"))
+
+    def point():
+        return tuple(Fr(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(ambient))
+
+    while True:
+        dims = [ambient, ambient] if kind != "lower" else [rng.randint(0, ambient - 1), rng.randint(0, ambient)]
+        rng.shuffle(dims)
+        k = {"facet": ambient, "vertex": 1, "apart": 0}.get(kind, rng.randint(0, min(dims)))
+        try:
+            s = Simplex(tuple(point() for _ in range(dims[0] + 1)))
+            t = Simplex(tuple(rng.sample(s.vertices, k)) + tuple(point() for _ in range(dims[1] + 1 - k)))
+        except AffineDependence:
+            continue
+        return kind, s, t
+
+
+def test_common_face_certificates_match_lp_oracle():
+    rng = random.Random(173)
+    seen = Counter()
+    for _ in range(2000):
+        kind, s, t = _simplex_pair(rng)
+        answer = geometry._intersection_is_common_face(s, t)
+        assert answer == geometry._intersection_is_common_face(t, s) == lp_intersection_is_common_face(s, t)
+        seen[kind, answer] += 1
+    assert min(seen[kind, answer] for kind in ("facet", "vertex", "apart", "lower") for answer in (True, False)) > 30
+
+
+def test_subdivisions_and_farey_complexes_validate_without_lp(monkeypatch, triangle, tetrahedron):
+    def refuse(*args):
+        raise AssertionError("lp_maximize was called")
+
+    rng = random.Random(179)
+    farey = triangle
+    for _ in range(5):
+        farey = pn.elementary_farey(farey, rng.choice(sorted(farey.simplices, key=lambda s: s.label())))
+    complexes = [pn.barycentric_subdivision(tetrahedron), farey, pn.derived(triangle, 2)]
+    monkeypatch.setattr(geometry, "lp_maximize", refuse)
+    for complex_ in complexes:
+        assert RationalComplex.from_json(complex_.to_json()) == complex_
 
 
 def test_farey_preserves_unimodularity(triangle):

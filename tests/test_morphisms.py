@@ -1,5 +1,7 @@
 import json
 import random
+import time
+from collections import Counter
 from fractions import Fraction as Fr
 
 import pytest
@@ -11,6 +13,7 @@ from polynerve.errors import (
     MalformedInput,
     NotComparableSignatures,
     SearchBudgetExceeded,
+    SizeBudgetExceeded,
     TargetNotRooted,
 )
 from polynerve.morphisms import _search_up_reduction
@@ -23,6 +26,7 @@ from conftest import (
     make_chain,
     recursive_monotone_surjection,
     recursive_search_up_reduction,
+    refine_isomorphism,
     sample_posets,
 )
 
@@ -265,6 +269,16 @@ def test_signature_reduction_examples():
         pn.signature_reduction(S("2"), S("1^3"))
 
 
+def test_signature_reduction_refuses_trees_over_the_size_budget():
+    # the size, 1 + the sum of the branch heights, is read off the entries
+    with pytest.raises(SizeBudgetExceeded, match="1000000001 elements"):
+        pn.signature_reduction(S("1^1000000000"), S("1^5"))
+    for text in ("1^1000000", "500000^2", "1000000"):
+        with pytest.raises(SizeBudgetExceeded):
+            pn.starlike_tree(S(text))
+    assert pn.starlike_tree(S("3.1^2")).n == 6
+
+
 def test_signature_reduction_random_pairs():
     rng = random.Random(17)
     for _ in range(25):
@@ -336,6 +350,66 @@ def test_isomorphism_agrees_with_backtracking_oracle():
                 assert_is_isomorphism(poset, other, fast)
             outcomes[kind].add(fast is not None)
     assert outcomes == {"copy": {True}, "draw": {True, False}}
+
+
+def _outcome(search, poset, other, budget):
+    try:
+        return search(poset, other, budget=budget)
+    except SearchBudgetExceeded:
+        return "refused"
+
+
+def _copies(rng):
+    """Two to four copies of a random poset of one to four elements side by
+    side, under a common top and over a common bottom at random: many cells
+    of equal size, where the order of the cells decides which map is found."""
+    base = random_poset(rng.randint(1, 4), rng, rng.choice((0.2, 0.4, 0.6)))
+    labels, edges = [], []
+    for k in range(rng.randint(2, 4)):
+        labels += [f"c{k}{lab}" for lab in base.labels]
+        edges += [(f"c{k}{a}", f"c{k}{b}") for a, b in base.cover_edges()]
+    if rng.random() < 0.5:
+        edges += [(lab, "top") for lab in labels]
+        labels.append("top")
+    if rng.random() < 0.5:
+        edges += [("bot", lab) for lab in labels]
+        labels.append("bot")
+    return validate_poset(labels, edges)
+
+
+def test_isomorphism_matches_former_refinement_search():
+    # same answers and the same maps, so the iso verb's bytes stay put, and
+    # the same node counts: a small budget refuses on both sides or neither
+    rng = random.Random(2026)
+    seen = Counter()
+    for _ in range(300):
+        size = rng.randint(1, 9)
+        poset = random_poset(size, rng, rng.choice((0.1, 0.2, 0.35, 0.6)))
+        symmetric = _copies(rng)
+        pairs = [
+            (poset, relabelled_copy(poset, rng)),
+            (poset, random_poset(size, rng, rng.choice((0.2, 0.35, 0.6)))),
+            (symmetric, relabelled_copy(symmetric, rng)),
+        ]
+        for left, right in pairs:
+            for budget in (10**7, rng.randint(1, 6)):
+                answer = _outcome(pn.are_isomorphic, left, right, budget)
+                assert answer == _outcome(refine_isomorphism, left, right, budget)
+                seen["map" if isinstance(answer, dict) else answer] += 1
+    assert min(seen[kind] for kind in ("map", None, "refused")) > 40
+
+
+def test_isomorphism_scales_on_long_chains_and_antichains():
+    # one individualization per element (antichains) or one refinement round
+    # per element (chains); covers, cached per poset, are built first
+    for make in (make_antichain, make_chain):
+        poset, other = make(1100), make(1100)
+        for p in (poset, other):
+            assert p.covers_up and p.covers_down
+        started = time.perf_counter()
+        mapping = pn.are_isomorphic(poset, other)
+        assert time.perf_counter() - started < 3.0
+        assert mapping == {label: label for label in poset.labels}
 
 
 def crown(size, prefix):
