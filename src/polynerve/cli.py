@@ -37,9 +37,8 @@ from . import (
     validate_poset,
 )
 from .errors import PolynerveError
-from .geometry import SIMPLEX_BUDGET
 from .morphisms import SEARCH_BUDGET
-from .nerves import SIZE_BUDGET
+from .posets import SIZE_BUDGET
 from .signatures import SCOTT
 
 
@@ -298,12 +297,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_witness)
 
     p = sub.add_parser("subdivide", help="k-th derived subdivision of a complex")
-    with_budget(p, SIMPLEX_BUDGET)
+    with_budget(p, SIZE_BUDGET)
     p.add_argument("-k", type=int, default=1)
     p.set_defaults(handler=cmd_subdivide)
 
     p = sub.add_parser("realize", help="standard-basis realization of a poset")
-    with_budget(p, SIMPLEX_BUDGET)
+    with_budget(p, SIZE_BUDGET)
     p.set_defaults(handler=cmd_realize)
 
     p = sub.add_parser("iso", help="poset isomorphism check")

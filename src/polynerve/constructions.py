@@ -20,7 +20,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .morphisms import PMorphism, compose, is_up_reduction
-from .nerves import nerve_is_alpha_connected
+from .nerves import _nerve_contypes
 from .posets import (
     FinitePoset,
     _bits,
@@ -111,7 +111,7 @@ def _verify(
     """The postconditions every construction shares, cheapest rejections
     first. No alpha in ``upsets`` splits a strict upset of the output, none
     in ``diamonds`` splits a strict diamond of it, and none in ``nerves``
-    splits a strict upset of its nerve (walked, not built); with ``scott``,
+    splits a strict upset of its nerve (one walk, no nerve built); with ``scott``,
     the output meets the Scott-form frame conditions of ``upsets``. Then the
     witness is a total up-reduction onto ``base``, and the output stays
     rooted, keeps the height of ``base`` and is graded."""
@@ -122,8 +122,9 @@ def _verify(
     for alpha in diamonds:
         if any(map(alpha.splits, output.diamond_contypes)):
             raise ConstructionPostconditionFailed(f"output has a splittable diamond for {alpha}")
-    for alpha in nerves:
-        if not nerve_is_alpha_connected(output, alpha):
+    for contype in _nerve_contypes(output) if nerves else ():
+        alpha = next((a for a in nerves if a.splits(contype)), None)
+        if alpha is not None:
             raise ConstructionPostconditionFailed(f"the nerve of the output is not {alpha}-connected")
     if scott and not scott_frame_conditions(output, upsets):
         raise ConstructionPostconditionFailed("output violates the Scott-form frame conditions")

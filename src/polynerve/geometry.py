@@ -38,12 +38,9 @@ from .exactla import (
     smith_divisors,
 )
 from .nerves import nerve
-from .posets import FinitePoset, _bits, poset_from_cover_dag
-from .semantics import UpsetAlgebra
+from .posets import SIZE_BUDGET, FinitePoset, _bits, poset_from_cover_dag
 
 RationalPoint = Tuple[Fraction, ...]
-
-SIMPLEX_BUDGET = 10**6
 
 
 class _Point(tuple):
@@ -133,11 +130,6 @@ class Simplex:
     @cached_property
     def vertex_set(self) -> FrozenSet[RationalPoint]:
         return frozenset(self.vertices)
-
-    @cached_property
-    def _box(self) -> Tuple[Tuple[Fraction, Fraction], ...]:
-        """The bounding box: (least, greatest) coordinate on each axis."""
-        return tuple((min(axis), max(axis)) for axis in zip(*self.vertices))
 
     @cached_property
     def _integer_matrix(self) -> Tuple[Tuple[int, ...], ...]:
@@ -326,13 +318,6 @@ def _is_coordinate(pair) -> bool:
     return type(pair) is list and len(pair) == 2 and all(type(x) is int for x in pair)
 
 
-def _bounding_boxes_apart(s: Simplex, t: Simplex) -> bool:
-    return any(
-        s_max < t_min or t_max < s_min
-        for (s_min, s_max), (t_min, t_max) in zip(s._box, t._box)
-    )
-
-
 def _intersection_is_common_face(s: Simplex, t: Simplex) -> bool:
     """Exact check that s ∩ t equals the face spanned by the shared vertices.
 
@@ -348,8 +333,6 @@ def _intersection_is_common_face(s: Simplex, t: Simplex) -> bool:
     vertex. The LP runs on the integer matrices, in the weights divided by
     each vertex's q: a positive rescaling of the variables, which keeps the
     answer."""
-    if _bounding_boxes_apart(s, t):
-        return True
     shared = s.vertex_set & t.vertex_set
     if len(shared) in (len(s.vertices), len(t.vertices)):
         return True  # one is a face of the other
@@ -486,7 +469,7 @@ def elementary_barycentric(complex_: RationalComplex, simplex: Simplex) -> Ratio
     return elementary_stellar(complex_, simplex.barycentre())
 
 
-def barycentric_subdivision(complex_: RationalComplex, budget: int = SIMPLEX_BUDGET) -> RationalComplex:
+def barycentric_subdivision(complex_: RationalComplex, budget: int = SIZE_BUDGET) -> RationalComplex:
     """The order complex of the face poset, placed at the barycentres: one
     simplex conv(b(σ₀), …, b(σₖ)) per flag σ₀ < … < σₖ of the complex (Wachs,
     "Poset topology", arXiv:math/0602226). Its size, the number of flags, is
@@ -501,7 +484,7 @@ def barycentric_subdivision(complex_: RationalComplex, budget: int = SIMPLEX_BUD
     )
 
 
-def derived(complex_: RationalComplex, k: int, budget: int = SIMPLEX_BUDGET) -> RationalComplex:
+def derived(complex_: RationalComplex, k: int, budget: int = SIZE_BUDGET) -> RationalComplex:
     if k < 0:
         raise ValueError("the subdivision depth must be nonnegative")
     current = complex_
@@ -608,7 +591,7 @@ def is_refinement(finer: RationalComplex, coarser: RationalComplex) -> bool:
 # -- realizations -------------------------------------------------------------------
 
 
-def geometric_realization(poset: FinitePoset, budget: int = SIMPLEX_BUDGET) -> RationalComplex:
+def geometric_realization(poset: FinitePoset, budget: int = SIZE_BUDGET) -> RationalComplex:
     """The standard-basis complex whose simplices are spanned by the chains
     of the poset. Chain k spans simplex k; that map is certified to be an
     isomorphism from the nerve onto the face poset before returning."""
@@ -672,7 +655,7 @@ class OpenPolyhedralSet:
         return self._with(other, self._mask | other._mask)
 
     def implies(self, other: "OpenPolyhedralSet") -> "OpenPolyhedralSet":
-        return self._with(other, UpsetAlgebra(face_poset(self.complex)).implies(self._mask, other._mask))
+        return self._with(other, face_poset(self.complex)._upset_algebra.implies(self._mask, other._mask))
 
 
 def upset_to_open(complex_: RationalComplex, upset: Iterable[Simplex]) -> OpenPolyhedralSet:

@@ -6,11 +6,11 @@ outputs (it never builds the nerve poset).
 """
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
 from .errors import EmptyPoset, SizeBudgetExceeded
 from .morphisms import PMorphism, is_up_reduction
-from .posets import CHAIN_BUDGET, SIZE_BUDGET, FinitePoset, _bits, poset_from_cover_dag
+from .posets import SIZE_BUDGET, FinitePoset, _bits, poset_from_cover_dag
 from .signatures import Signature
 
 
@@ -83,7 +83,7 @@ def max_map(poset: FinitePoset, budget: int = SIZE_BUDGET) -> PMorphism:
 
 
 def nerve_is_alpha_connected(
-    poset: FinitePoset, alpha: Signature, budget: int = CHAIN_BUDGET
+    poset: FinitePoset, alpha: Signature, budget: int = SIZE_BUDGET
 ) -> bool:
     """Whether the nerve of ``poset`` is alpha-connected, decided by walking
     the chains of the base poset instead of materialising the nerve.
@@ -95,11 +95,15 @@ def nerve_is_alpha_connected(
     connectedness type of the strict upset of X equals ConType(A(X)).
     This is property-tested against the materialised nerve on small posets.
     """
+    return not any(map(alpha.splits, _nerve_contypes(poset, budget)))
+
+
+def _nerve_contypes(poset: FinitePoset, budget: int = SIZE_BUDGET) -> Iterator[Tuple[int, ...]]:
+    """The connectedness type of each strict upset of the nerve, one per
+    chain of the base, as ConType(A(X)), in chain-walk order."""
     comparable = poset._comparable
     for chain in poset.iter_chain_masks(budget=budget):
         addable = ~chain
         for i in _bits(chain):
             addable &= comparable[i]
-        if alpha.splits(poset.contype_of_mask(addable)):
-            return False
-    return True
+        yield poset.contype_of_mask(addable)

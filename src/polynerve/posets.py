@@ -1,6 +1,6 @@
 """Finite posets with the order-theoretic primitives everything else builds on:
-upsets, heights, chains, connectivity, connectedness types, gradedness,
-diamonds, completions, and tree unravellings.
+upsets and their Heyting algebra, heights, chains, connectivity,
+connectedness types, gradedness, diamonds, completions, and tree unravellings.
 
 Elements are indexed internally; labels are strings for I/O.  The order is
 held as per-element bitmasks so that component and chain analysis stays fast
@@ -29,8 +29,7 @@ from .errors import (
 from .signatures import Signature
 
 COMPLETION_LABEL = "inf"
-CHAIN_BUDGET = 10**6
-SIZE_BUDGET = 10**6  # elements of a poset built whole: nerves, starlike trees
+SIZE_BUDGET = 10**6  # chains walked, simplices and elements built: nerves, trees, subdivisions
 
 
 class FinitePoset:
@@ -138,11 +137,18 @@ class FinitePoset:
 
     @cached_property
     def covers_up(self) -> Tuple[Tuple[int, ...], ...]:
-        """covers_up[i] lists j such that j covers i (immediate successors)."""
+        """covers_up[i] lists j such that j covers i, by index: a walk through
+        the strict upset by index drops the upset of each element it meets."""
         out = []
         for i in range(self.n):
-            strict = self.strict_up_mask(i)
-            out.append(tuple(j for j in _bits(strict) if not strict & self.strict_down_mask(j)))
+            rest = strict = self.strict_up_mask(i)
+            covers = []
+            while rest:
+                j = (rest & -rest).bit_length() - 1
+                if strict & self._down[j] == 1 << j:  # nothing of the upset below j
+                    covers.append(j)
+                rest &= ~self._up[j]
+            out.append(tuple(covers))
         return tuple(out)
 
     @cached_property
@@ -264,7 +270,7 @@ class FinitePoset:
             ending[i] = 1 + sum(ending[j] for j in _bits(self.strict_down_mask(i)))
         return sum(ending)
 
-    def iter_chain_masks(self, budget: int = CHAIN_BUDGET):
+    def iter_chain_masks(self, budget: int = SIZE_BUDGET):
         """Yield every nonempty chain as a bitmask, each exactly once, depth
         first from a stack of (chain, candidates) pairs: a chain is extended
         only by higher-indexed comparable elements, lowest index first."""
@@ -285,6 +291,11 @@ class FinitePoset:
             rest = candidates & comparable[b.bit_length() - 1]
             if rest:
                 stack.append((mask | b, rest))
+
+    @cached_property
+    def _upset_algebra(self) -> "UpsetAlgebra":
+        """This poset's upset algebra: one listing and one down-closure memo."""
+        return UpsetAlgebra(self)
 
     def restrict(self, labels: Iterable[str]) -> "FinitePoset":
         """Induced subposet on the given elements (original label order)."""
@@ -338,6 +349,68 @@ class FinitePoset:
             lines.append(f'  "{a}" -> "{b}";')
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+class UpsetAlgebra:
+    """The finite Heyting algebra of up-closed subsets of a poset, with
+    elements represented as bitmasks over the carrier."""
+
+    bottom = 0
+
+    def __init__(self, poset: FinitePoset):
+        self.poset = poset
+        self.top = poset.full_mask
+        self._down: Dict[int, int] = {0: 0}  # down-closures met so far
+        self._table: Optional[Tuple[int, ...]] = None  # the finished listing
+
+    @property
+    def elements(self) -> Tuple[int, ...]:
+        """Every up-closed subset, by size and then by bitmask."""
+        return self.upsets()
+
+    def upsets(self, k: int = 0, budget: Optional[int] = None) -> Tuple[int, ...]:
+        """Every up-closed subset as a bitmask, by size, then by mask; more
+        than `budget` valuations of `k` variables raise SizeBudgetExceeded.
+        The first listing decides elements in decreasing-height order, one
+        joining a set only if its upper covers did, so the sets found so far
+        are upsets and their count never shrinks: it stops as soon as they
+        are too many. Only a listing that a call returns is kept."""
+        masks, poset = self._table, self.poset
+        if masks is None:
+            masks = [0]
+            for i in sorted(range(poset.n), key=lambda i: (-poset.heights[i], i)):
+                if budget is not None and len(masks) ** k > budget:
+                    raise SizeBudgetExceeded(
+                        f"at least {len(masks) ** k} valuations exceed the budget of {budget}"
+                    )
+                covers = sum(1 << j for j in poset.covers_up[i])
+                masks += [m | 1 << i for m in masks if covers & ~m == 0]
+            masks = tuple(sorted(masks, key=lambda m: (bin(m).count("1"), m)))
+        if budget is not None and len(masks) ** k > budget:
+            raise SizeBudgetExceeded(f"{len(masks) ** k} valuations exceed the budget of {budget}")
+        self._table = masks
+        return masks
+
+    def meet(self, u: int, v: int) -> int:
+        return u & v
+
+    def join(self, u: int, v: int) -> int:
+        return u | v
+
+    def implies(self, u: int, v: int) -> int:
+        """U -> V holds at the points x with no y >= x in U but not in V:
+        the complement of the down-closure of U minus V."""
+        gap = u & ~v
+        down = self._down.get(gap)
+        if down is None:
+            down = 0
+            for i in _bits(gap):
+                down |= self.poset.down_mask(i)
+            self._down[gap] = down
+        return self.top & ~down
+
+    def members(self, mask: int) -> frozenset:
+        return self.poset.labels_of(mask)
 
 
 def _check_partial_order(up_masks: Sequence[int]) -> None:

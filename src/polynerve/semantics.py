@@ -7,77 +7,16 @@ it to the whole carrier.
 """
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .errors import ForbiddenSignature, PreconditionViolated, SizeBudgetExceeded
 from .formulas import And, Const, Formula, Imp, Or, Var
 from .morphisms import validates_jankov
-from .posets import FinitePoset, _bits, height
+from .posets import FinitePoset, UpsetAlgebra, height  # UpsetAlgebra: re-exported
 from .signatures import DIFORK, SCOTT, Signature
 from .starlike import is_alpha_connected, starlike_tree
 
 VALUATION_BUDGET = 10**7
-
-
-def _upsets(poset: FinitePoset, k: int = 0, budget: Optional[int] = None) -> Tuple[int, ...]:
-    """Every up-closed subset as a bitmask, ordered by size, then by mask.
-    Elements are decided in decreasing-height order, and one joins a set only
-    if its upper covers already did, so every set found on the way is an
-    upset and the count never shrinks. The listing therefore stops with
-    SizeBudgetExceeded as soon as the upsets found so far give more than
-    `budget` valuations of `k` variables."""
-    order = iter(sorted(range(poset.n), key=lambda i: (-poset.heights[i], i)))
-    masks = [0]
-    while budget is None or len(masks) ** k <= budget:
-        i = next(order, None)
-        if i is None:
-            return tuple(sorted(masks, key=lambda m: (bin(m).count("1"), m)))
-        covers = 0
-        for j in poset.covers_up[i]:
-            covers |= 1 << j
-        masks += [m | 1 << i for m in masks if covers & ~m == 0]
-    raise SizeBudgetExceeded(
-        f"at least {len(masks) ** k} valuations exceed the budget of {budget}"
-    )
-
-
-class UpsetAlgebra:
-    """The finite Heyting algebra of up-closed subsets of a poset, with
-    elements represented as bitmasks over the carrier."""
-
-    bottom = 0
-
-    def __init__(self, poset: FinitePoset):
-        self.poset = poset
-        self.top = poset.full_mask
-        self._down: Dict[int, int] = {0: 0}  # down-closures met so far
-
-    @cached_property
-    def elements(self) -> Tuple[int, ...]:
-        """Every up-closed subset, by size and then by bitmask."""
-        return _upsets(self.poset)
-
-    def meet(self, u: int, v: int) -> int:
-        return u & v
-
-    def join(self, u: int, v: int) -> int:
-        return u | v
-
-    def implies(self, u: int, v: int) -> int:
-        """U -> V holds at the points x with no y >= x in U but not in V:
-        the complement of the down-closure of U minus V."""
-        gap = u & ~v
-        down = self._down.get(gap)
-        if down is None:
-            down = 0
-            for i in _bits(gap):
-                down |= self.poset.down_mask(i)
-            self._down[gap] = down
-        return self.top & ~down
-
-    def members(self, mask: int) -> FrozenSet[str]:
-        return self.poset.labels_of(mask)
 
 
 def _flatten(phi: Formula, variables: Tuple[str, ...]) -> List[tuple]:
@@ -128,17 +67,18 @@ def counter_valuation(
     subtree is skipped; if hi of phi is not top, every completion refutes it,
     and the first in product order, each remaining variable empty, is
     returned. Neither cut changes the answer or the counter-valuation.
-    The budget on the number of valuations is checked while the upsets are
-    listed, which stops as soon as there are too many; a formula without
-    variables lists none."""
+    The upsets and down-closures come from the poset's own UpsetAlgebra,
+    shared by every call on the poset. The budget on the number of
+    valuations is checked while the upsets are first listed, which stops as
+    soon as there are too many; a formula without variables lists none."""
     variables = phi.variables()
     nodes = _flatten(phi, variables)
     k = len(variables)
+    algebra = poset._upset_algebra
     if k:
-        elements = _upsets(poset, k, budget)
+        elements = algebra.upsets(k, budget)
     elif budget < 1:
         raise SizeBudgetExceeded(f"1 valuation exceeds the budget of {budget}")
-    algebra = UpsetAlgebra(poset)
     top = algebra.top
     lo = [0] * len(nodes)  # a bound node's value, and the lower end of an open one
     hi = [top] * len(nodes)

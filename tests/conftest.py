@@ -4,12 +4,13 @@ The brute-force oracles only ever use itertools-style enumeration, never the
 package's own machinery beyond basic order lookups. The replaced algorithms
 kept as differential oracles (exhaustive_width, backtracking_isomorphism,
 refine_isomorphism, stellar_subdivision, all_pairs_check_complex,
-lp_intersection_is_common_face, scan_carrier, scan_open_star,
-pairwise_open_implies, per_face_stellar, volume_refinement_oracle,
-former_sorted_simplices, former_homogeneous, fraction_lp_maximize,
-fraction_solve_exact, fraction_rank_exact, fraction_determinant,
-naive_counter_valuation, staged_counter_valuation, completion_diamond_connected,
-completion_nerve_connected, recursive_parse_formula, recursive_chain_masks,
+lp_intersection_is_common_face, bounding_boxes_apart, scan_carrier,
+scan_open_star, pairwise_open_implies, per_face_stellar,
+volume_refinement_oracle, former_sorted_simplices, former_homogeneous,
+fraction_lp_maximize, fraction_solve_exact, fraction_rank_exact,
+fraction_determinant, naive_counter_valuation, staged_counter_valuation,
+completion_diamond_connected, completion_nerve_connected,
+recursive_parse_formula, recursive_chain_masks, bitwise_covers_up,
 recursive_search_up_reduction, recursive_monotone_surjection) reuse the
 package primitives they were built on: the comparability masks, elementary
 stellar moves, the exact LP, barycentric coordinates, the
@@ -52,10 +53,10 @@ from polynerve.exactla import _integer_determinant, _integer_row, _solve_integer
 from polynerve import formulas
 from polynerve.formulas import FALSE, TRUE, And, Const, Imp, Neg, Or, Var, _tokenize
 from polynerve.morphisms import PMorphism, is_up_reduction
-from polynerve.posets import CHAIN_BUDGET, _bits
+from polynerve.posets import SIZE_BUDGET, _bits
 from polynerve import geometry
-from polynerve.geometry import _bounding_boxes_apart, _format_point
-from polynerve.semantics import VALUATION_BUDGET, UpsetAlgebra, _flatten, _upsets
+from polynerve.geometry import _format_point
+from polynerve.semantics import VALUATION_BUDGET, UpsetAlgebra, _flatten
 from polynerve.randposets import random_poset, random_rooted_poset
 
 
@@ -501,13 +502,22 @@ def all_pairs_check_complex(simplices) -> None:
                 raise BadIntersection(f"{s.label()} and {t.label()} do not meet in a common face")
 
 
+def bounding_boxes_apart(s, t) -> bool:
+    """The package's former pre-test: some axis on which the two simplices'
+    coordinate ranges do not meet."""
+    return any(
+        max(a) < min(b) or max(b) < min(a)
+        for a, b in zip(zip(*s.vertices), zip(*t.vertices))
+    )
+
+
 def lp_intersection_is_common_face(s, t) -> bool:
     """The package's former common-face check, an exact LP for every pair
     whose bounding boxes meet and neither of which is a face of the other:
     some pair of convex combinations agreeing coordinatewise with positive
     weight on a non-shared vertex exists iff the intersection sticks out of
     the shared face. Reads geometry.lp_maximize at call time."""
-    if _bounding_boxes_apart(s, t):
+    if bounding_boxes_apart(s, t):
         return True
     shared = s.vertex_set & t.vertex_set
     if len(shared) in (len(s.vertices), len(t.vertices)):
@@ -825,11 +835,11 @@ def staged_counter_valuation(poset, phi, budget=VALUATION_BUDGET):
     variables = phi.variables()
     nodes = _flatten(phi, variables)
     k = len(variables)
+    algebra = UpsetAlgebra(poset)  # its own listing, not the poset's
     if k:
-        elements = _upsets(poset, k, budget)
+        elements = algebra.upsets(k, budget)
     elif budget < 1:
         raise SizeBudgetExceeded(f"1 valuation exceeds the budget of {budget}")
-    algebra = UpsetAlgebra(poset)
     top = algebra.top
     values = [0] * len(nodes)
     slots = [0] * k
@@ -964,7 +974,7 @@ def recursive_parse_formula(text):
     return result
 
 
-def recursive_chain_masks(poset, budget=CHAIN_BUDGET):
+def recursive_chain_masks(poset, budget=SIZE_BUDGET):
     """The package's former chain walk: one nested generator per chain
     element, each extending its chain by the higher-indexed comparable
     candidates, lowest index first."""
@@ -981,6 +991,16 @@ def recursive_chain_masks(poset, budget=CHAIN_BUDGET):
             yield from extend(mask | 1 << i, rest)
 
     yield from extend(0, poset.full_mask)
+
+
+def bitwise_covers_up(poset):
+    """The package's former cover relation: every element of each strict
+    upset tested for elements of that upset strictly below it."""
+    out = []
+    for i in range(poset.n):
+        strict = poset.strict_up_mask(i)
+        out.append(tuple(j for j in _bits(strict) if not strict & poset.strict_down_mask(j)))
+    return tuple(out)
 
 
 def recursive_search_up_reduction(poset, target, budget=10**7):

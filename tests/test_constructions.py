@@ -316,6 +316,13 @@ BROKEN = {
         {"upsets": [S("1^3")], "diamonds": [S("1^3")]},
         r"splittable diamond for 1\^3",
     ),
+    "split nerve": (
+        "r<a,b,c",
+        "r<a,b,c",
+        None,
+        {"nerves": [S("1^3")]},
+        r"nerve of the output is not 1\^3-connected",
+    ),
 }
 
 
@@ -326,6 +333,25 @@ def test_verifier_refuses_each_broken_postcondition(output_spec, base_spec, mapp
     result = ConstructionResult(output, pn.PMorphism(output, base, frozenset(mapping), mapping))
     with pytest.raises(ConstructionPostconditionFailed, match=message):
         _verify(result, base, **checks)
+
+
+def test_verifier_walks_the_nerve_once_for_all_axioms(monkeypatch, theta_frame):
+    lambdas = {S("2.1"), S("1^3"), S("2^2")}
+    result = pn.starlike_witness(theta_frame, lambdas)
+    walks = []
+    chains = pn.FinitePoset.iter_chain_masks
+
+    def counted(poset, budget):
+        walks.append(poset)
+        return chains(poset, budget)
+
+    monkeypatch.setattr(pn.FinitePoset, "iter_chain_masks", counted)
+    _verify(result, theta_frame, upsets=lambdas, diamonds=lambdas, nerves=lambdas)
+    assert walks == [result.output]
+    # no axiom, no walk: gradify and nervify verify without nerves
+    walks.clear()
+    _verify(result, theta_frame, upsets=lambdas)
+    assert walks == []
 
 
 # -- the full pipeline ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,7 @@ from polynerve.errors import (
 
 from conftest import (
     _longest_chain_size,
+    bitwise_covers_up,
     brute_chains,
     brute_components,
     brute_is_graded,
@@ -331,6 +333,23 @@ def test_chain_walk_matches_recursive_oracle():
         assert walked == _walk(recursive_chain_masks(poset, budget=budget))
         assert walked[-1] == f"chain enumeration exceeds budget {budget}" or budget == len(chains)
     assert list(pn.FinitePoset([], []).iter_chain_masks()) == []
+
+
+def test_covers_match_the_bitwise_oracle():
+    for poset in sample_posets(250, 12, seed=47) + sample_posets(250, 12, seed=53, rooted=True):
+        assert poset.covers_up == bitwise_covers_up(poset)
+    assert pn.FinitePoset([], []).covers_up == ()
+
+
+def test_covers_scale_on_long_chains():
+    # each strict upset of a chain leaves the walk at its first element;
+    # testing every element of it against the upset is quadratic
+    chain = make_chain(1100)
+    assert chain.down_mask(1099)  # the downsets are shared, so built first
+    started = time.perf_counter()
+    covers = chain.covers_up
+    assert time.perf_counter() - started < 0.1
+    assert covers == tuple((i + 1,) for i in range(1099)) + ((),)
 
 
 # -- serialisation -----------------------------------------------------------------------------

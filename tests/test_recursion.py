@@ -1,9 +1,11 @@
-"""Two guards over the package source. No function in the package calls
+"""Three guards over the package source. No function in the package calls
 itself: the parser, the chain walk and the backtracking searches keep
-explicit stacks, so their declared limits (MAX_NESTING, the chain budget,
+explicit stacks, so their declared limits (MAX_NESTING, the size budget,
 the search budget), not the interpreter's recursion limit, decide what they
-refuse. And the constructions refuse unverified output from one verifier,
-one profile check and nervify's final refusal only."""
+refuse. The constructions refuse unverified output from one verifier,
+one profile check and nervify's final refusal only. And each poset owns its
+one upset algebra: nothing else in the package builds one, and geometry
+reads open sets through the face poset's algebra, not through semantics."""
 import ast
 import os
 import subprocess
@@ -83,6 +85,57 @@ def test_constructions_refuse_through_one_verifier():
     names = [name for name, _ in _postcondition_raises(ast.parse(source.read_text()))]
     assert set(names) == {"_verify", "_check_profiles", "nervify"}
     assert names.count("nervify") == 1  # the final refusal, after every candidate
+
+
+def _algebra_builders(tree):
+    """(enclosing function name, line) for every call of UpsetAlgebra, by
+    name or as an attribute; None for a call outside any function."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and "UpsetAlgebra" in (
+            getattr(node.func, "id", None),
+            getattr(node.func, "attr", None),
+        ):
+            found.append(node)
+    owners = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                owners[node] = fn.name  # inner functions come later and win
+    return [(owners.get(node), node.lineno) for node in found]
+
+
+def _imports(tree):
+    """Every name an import names: modules by their last part, and what is
+    imported from them, so that ``from . import semantics`` counts too."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.split(".")[-1] for alias in node.names)
+            if getattr(node, "module", None):
+                names.add(node.module.split(".")[-1])
+    return names
+
+
+def test_guard_finds_algebra_builders_and_imports():
+    tree = ast.parse(
+        "from . import semantics\nfrom .semantics import UpsetAlgebra\nimport polynerve.posets\n"
+        "a = UpsetAlgebra(p)\n"
+        "def f(p):\n    return posets.UpsetAlgebra(p)\n"
+    )
+    assert _algebra_builders(tree) == [(None, 4), ("f", 6)]
+    assert _imports(tree) == {"semantics", "UpsetAlgebra", "posets"}
+
+
+def test_the_poset_owns_its_upset_algebra():
+    builders = {
+        path.name: calls for path in SOURCES if (calls := _algebra_builders(ast.parse(path.read_text())))
+    }
+    assert {name: [fn for fn, _ in calls] for name, calls in builders.items()} == {
+        "posets.py": ["_upset_algebra"]
+    }
+    geometry = Path(polynerve.__file__).parent / "geometry.py"
+    assert "semantics" not in _imports(ast.parse(geometry.read_text()))
 
 
 LOW_LIMIT_SCRIPT = """

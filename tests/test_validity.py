@@ -124,6 +124,68 @@ def test_budget_is_checked_while_the_upsets_are_listed():
     assert not pn.frame_validates(big, parse_formula("F"))
 
 
+CENSUS = ("KC", "LC", "SL", "BW2", "BC2")
+
+
+def test_one_algebra_answers_every_call_order_alike():
+    """One poset object takes a shuffled run of validity calls, refusals
+    before its first finished listing included; each answer and refusal
+    class is the former search's on a fresh copy of the frame."""
+    rng = random.Random(19)
+    refused_unlisted = refused_listed = 0
+    for poset in sample_posets(30, 5, seed=127, rooted=True) + sample_posets(30, 5, seed=131):
+        upsets = len(pn.UpsetAlgebra(poset).elements)
+        counts = {name: upsets ** len(FORMULAS[name].variables()) for name in CENSUS}
+        calls = [(name, budget) for name in CENSUS for budget in (counts[name] - 1, counts[name], 10**7)]
+        rng.shuffle(calls)
+        algebra = poset._upset_algebra
+        for name, budget in calls:
+            listed = algebra._table is not None
+            fresh = pn.FinitePoset.from_json(poset.to_json())
+            expected = outcome(naive_counter_valuation, fresh, FORMULAS[name], budget)
+            assert outcome(pn.counter_valuation, poset, FORMULAS[name], budget) == expected, (name, budget)
+            if expected is SizeBudgetExceeded:
+                refused_listed += listed
+                refused_unlisted += not listed
+        assert poset._upset_algebra is algebra and len(algebra._table) == upsets
+    assert refused_unlisted and refused_listed
+
+
+def test_one_listing_serves_every_validity_question(monkeypatch):
+    listings = []
+    upsets = pn.UpsetAlgebra.upsets
+
+    def counted(algebra, k=0, budget=None):
+        if algebra._table is None:
+            listings.append(algebra.poset)
+        return upsets(algebra, k, budget)
+
+    monkeypatch.setattr(pn.UpsetAlgebra, "upsets", counted)
+    frame = pn.starlike_tree(S("2.1"))
+    answers = [pn.frame_validates(frame, FORMULAS[name]) for name in CENSUS * 2]
+    assert listings == [frame]
+    fresh = pn.starlike_tree(S("2.1"))
+    assert answers == [naive_counter_valuation(fresh, FORMULAS[name]) is None for name in CENSUS * 2]
+    assert True in answers and False in answers
+
+
+def test_a_refused_listing_keeps_no_table():
+    big = make_antichain(40)
+    with pytest.raises(SizeBudgetExceeded, match="at least 1024 valuations"):
+        pn.frame_validates(big, parse_formula("p"), budget=1000)
+    assert big._upset_algebra._table is None
+    # the fork 1^3 has 9 upsets: a listing that finishes over the budget is
+    # not kept either, and a kept one refuses with its exact count
+    fork, p = pn.starlike_tree(S("1^3")), parse_formula("p")
+    with pytest.raises(SizeBudgetExceeded, match="^9 valuations exceed the budget of 8$"):
+        pn.frame_validates(fork, p, budget=8)
+    assert fork._upset_algebra._table is None
+    assert not pn.frame_validates(fork, p, budget=9)
+    assert len(fork._upset_algebra._table) == 9
+    with pytest.raises(SizeBudgetExceeded, match="^81 valuations exceed the budget of 80$"):
+        pn.frame_validates(fork, parse_formula("p|q"), budget=80)
+
+
 @pytest.mark.parametrize("op", ["|", "&"], ids=["disjunction", "conjunction"])
 def test_flat_1200_term_chains_are_decided(op):
     # a chain of one connective parses into a left-deep tree 1200 nodes deep;
