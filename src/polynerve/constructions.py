@@ -20,7 +20,6 @@ from .errors import (
     PreconditionViolated,
 )
 from .morphisms import PMorphism, compose, is_up_reduction
-from .nerves import _nerve_contypes
 from .posets import (
     FinitePoset,
     _bits,
@@ -111,10 +110,11 @@ def _verify(
     """The postconditions every construction shares, cheapest rejections
     first. No alpha in ``upsets`` splits a strict upset of the output, none
     in ``diamonds`` splits a strict diamond of it, and none in ``nerves``
-    splits a strict upset of its nerve (one walk, no nerve built); with ``scott``,
-    the output meets the Scott-form frame conditions of ``upsets``. Then the
-    witness is a total up-reduction onto ``base``, and the output stays
-    rooted, keeps the height of ``base`` and is graded."""
+    splits a strict upset of its nerve (read off its interval types, no
+    nerve built or walked); with ``scott``, the output meets the Scott-form
+    frame conditions of ``upsets``. Then the witness is a total up-reduction
+    onto ``base``, and the output stays rooted, keeps the height of ``base``
+    and is graded."""
     output, witness = result.output, result.witness
     for alpha in upsets:
         if not is_alpha_connected(output, alpha):
@@ -122,7 +122,7 @@ def _verify(
     for alpha in diamonds:
         if any(map(alpha.splits, output.diamond_contypes)):
             raise ConstructionPostconditionFailed(f"output has a splittable diamond for {alpha}")
-    for contype in _nerve_contypes(output) if nerves else ():
+    for contype in output._nerve_contypes if nerves else ():
         alpha = next((a for a in nerves if a.splits(contype)), None)
         if alpha is not None:
             raise ConstructionPostconditionFailed(f"the nerve of the output is not {alpha}-connected")

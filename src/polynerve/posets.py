@@ -243,6 +243,8 @@ class FinitePoset:
         """Connectedness type of the subposet on ``mask``: the heights
         (longest chain sizes) of its components in descending order, ``()``
         for the empty mask."""
+        if not mask & (mask - 1):  # empty or one element: no component pass
+            return (1,) if mask else ()
         return tuple(sorted((h + 1 for _, h in self._typed_components(mask)), reverse=True))
 
     @cached_property
@@ -260,6 +262,14 @@ class FinitePoset:
             for i in range(self.n)
             for j in _bits(self.strict_up_mask(i))
         )
+
+    @cached_property
+    def _nerve_contypes(self) -> Tuple[Tuple[int, ...], ...]:
+        """Distinct connectedness types of the strict upsets of the nerve,
+        sorted, up to types that add no split: those of every strict upset,
+        strict downset and strict diamond (see ``nerve_is_alpha_connected``)."""
+        downs = (self.contype_of_mask(self.strict_down_mask(i)) for i in range(self.n))
+        return tuple(sorted({*self.strict_up_contypes, *self.diamond_contypes, *downs}))
 
     # -- chains ---------------------------------------------------------------------
 

@@ -10,7 +10,8 @@ volume_refinement_oracle, former_sorted_simplices, former_homogeneous,
 fraction_lp_maximize, fraction_solve_exact, fraction_rank_exact,
 fraction_determinant, naive_counter_valuation, staged_counter_valuation,
 completion_diamond_connected, completion_nerve_connected,
-recursive_parse_formula, recursive_chain_masks, bitwise_covers_up,
+recursive_parse_formula, recursive_chain_masks, walked_nerve_contypes,
+bitwise_covers_up,
 recursive_search_up_reduction, recursive_monotone_surjection) reuse the
 package primitives they were built on: the comparability masks, elementary
 stellar moves, the exact LP, barycentric coordinates, the
@@ -991,6 +992,18 @@ def recursive_chain_masks(poset, budget=SIZE_BUDGET):
             yield from extend(mask | 1 << i, rest)
 
     yield from extend(0, poset.full_mask)
+
+
+def walked_nerve_contypes(poset, budget=SIZE_BUDGET):
+    """The package's former nerve check: the connectedness type of each
+    strict upset of the nerve, one per chain X of the base, as
+    ConType(A(X)) for A(X) the elements outside X comparable with all of X,
+    in chain-walk order."""
+    for chain in poset.iter_chain_masks(budget=budget):
+        addable = ~chain
+        for i in _bits(chain):
+            addable &= poset.up_mask(i) | poset.down_mask(i)
+        yield poset.contype_of_mask(addable)
 
 
 def bitwise_covers_up(poset):

@@ -1,10 +1,18 @@
+import time
+
 import pytest
 
 import polynerve as pn
 from polynerve import Signature, validate_poset
 from polynerve.errors import EmptyPoset, SizeBudgetExceeded
 
-from conftest import brute_chains, make_antichain, make_chain, sample_posets
+from conftest import (
+    brute_chains,
+    make_antichain,
+    make_chain,
+    sample_posets,
+    walked_nerve_contypes,
+)
 
 S = Signature.parse
 
@@ -98,12 +106,64 @@ def test_nerve_alpha_connected_agrees_with_materialised_nerve():
             )
 
 
-def test_nerve_chain_walk_budget():
-    chain = make_chain(12)  # 4095 nonempty chains
-    assert not pn.nerve_is_alpha_connected(chain, S("2"), budget=1)
-    with pytest.raises(SizeBudgetExceeded):
-        pn.nerve_is_alpha_connected(chain, S("1^3"), budget=4094)
-    assert pn.nerve_is_alpha_connected(chain, S("1^3"), budget=4095)
+def test_nerve_check_answers_on_long_chains():
+    # 2^60 - 1 chains: answered only if no chain is enumerated
+    chain = make_chain(60)
+    started = time.perf_counter()
+    assert pn.nerve_is_alpha_connected(chain, S("1^3"))
+    assert not pn.nerve_is_alpha_connected(chain, S("2"))
+    assert time.perf_counter() - started < 1.0
+
+
+NERVE_ALPHAS = [S(t) for t in ("e", "1", "2", "3", "1^2", "1^3", "2.1", "2^2", "3.1", "2.1^2", "1^4")]
+
+
+def nerve_samples():
+    """Rooted and unrooted posets of 1-9 elements, and the empty poset."""
+    return (
+        sample_posets(300, 9, seed=47)
+        + sample_posets(300, 9, seed=53, rooted=True)
+        + [validate_poset([], [])]
+    )
+
+
+def test_interval_types_are_walked_types_up_to_dominated_ones():
+    for poset in nerve_samples():
+        table, walked = set(poset._nerve_contypes), set(walked_nerve_contypes(poset))
+        assert table <= walked
+        longest = pn.height(poset) + 1 if poset.n else 0
+        # a chain with two or more nonempty parts leaves one component of
+        # height at most L - 1, dominated by the strict upset of the bottom
+        # of a longest chain
+        for contype in walked - table:
+            assert len(contype) == 1 and contype[0] <= longest - 1
+
+
+def test_interval_types_answer_as_the_chain_walk():
+    for poset in nerve_samples():
+        walked = set(walked_nerve_contypes(poset))
+        for alpha in NERVE_ALPHAS:
+            assert pn.nerve_is_alpha_connected(poset, alpha) == (
+                not any(map(alpha.splits, walked))
+            ), (poset, alpha)
+
+
+def test_nerve_connectedness_is_the_criterion_on_rooted_frames():
+    for poset in sample_posets(150, 9, seed=59, rooted=True):
+        for alpha in NERVE_ALPHAS:
+            assert pn.nerve_is_alpha_connected(poset, alpha) == pn.is_alpha_nerve_connected(
+                poset, alpha
+            ), (poset, alpha)
+
+
+def test_unrooted_nerve_check_needs_strict_downsets():
+    # a, b < c: the strict downset of c splits into two points; no strict
+    # upset or strict diamond does
+    vee = validate_poset(["a", "b", "c"], [("a", "c"), ("b", "c")])
+    fork = S("1^2")
+    assert pn.is_alpha_nerve_connected(vee, fork)
+    assert not pn.nerve_is_alpha_connected(vee, fork)
+    assert not pn.is_alpha_connected(pn.nerve(vee), fork)
 
 
 def test_nerve_labels_nest():
