@@ -36,7 +36,7 @@ from . import (
     starlike_witness,
     validate_poset,
 )
-from .errors import PolynerveError
+from .errors import MalformedInput, PolynerveError
 from .morphisms import SEARCH_BUDGET
 from .posets import SIZE_BUDGET
 from .signatures import SCOTT
@@ -207,9 +207,9 @@ def cmd_iso(args) -> int:
 
 def cmd_census(args) -> int:
     if args.size < 1:
-        raise argparse.ArgumentTypeError("census size must be at least 1")
+        raise MalformedInput("census size must be at least 1")
     if args.size > 8:
-        raise argparse.ArgumentTypeError("census size is capped at 8")
+        raise MalformedInput("census size is capped at 8")
     alphas = _parse_lambda(args.lambdas) if args.lambdas else [Signature.parse("2.1")]
     rng = random.Random(args.seed)
     out = io.StringIO()
@@ -329,7 +329,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.handler(args)
-    except (PolynerveError, argparse.ArgumentTypeError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (PolynerveError, ValueError, OSError) as exc:
         print(f"polynerve: error: {exc}", file=sys.stderr)
         return 2
 

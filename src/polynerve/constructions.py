@@ -29,8 +29,8 @@ from .posets import (
     tree_unravelling,
     validate_poset,
 )
-from .semantics import scott_frame_conditions, validates_sfl
-from .signatures import DIFORK, SCOTT, Signature
+from .semantics import validates_sfl
+from .signatures import SCOTT, Signature
 from .starlike import is_alpha_connected
 
 __all__ = [
@@ -104,17 +104,16 @@ def _verify(
     base: FinitePoset,
     upsets: Iterable[Signature] = (),
     diamonds: Iterable[Signature] = (),
-    nerves: Iterable[Signature] = (),
-    scott: bool = False,
 ) -> None:
     """The postconditions every construction shares, cheapest rejections
-    first. No alpha in ``upsets`` splits a strict upset of the output, none
-    in ``diamonds`` splits a strict diamond of it, and none in ``nerves``
-    splits a strict upset of its nerve (read off its interval types, no
-    nerve built or walked); with ``scott``, the output meets the Scott-form
-    frame conditions of ``upsets``. Then the witness is a total up-reduction
-    onto ``base``, and the output stays rooted, keeps the height of ``base``
-    and is graded."""
+    first: no alpha in ``upsets`` splits a strict upset of the output, none
+    in ``diamonds`` a strict diamond; the witness is a total up-reduction
+    onto ``base``; the output stays rooted, keeps the height of ``base`` and
+    is graded. Two properties follow unchecked: no alpha in both lists splits
+    a strict upset of the nerve (a rooted output's strict downsets are
+    connected and no taller than the root's strict upset), and with 2.1 in
+    ``upsets`` the Scott-form frame conditions hold (a chain bounds the
+    height, a fork the antichain over a depth-1 point, 2.1 the rest)."""
     output, witness = result.output, result.witness
     for alpha in upsets:
         if not is_alpha_connected(output, alpha):
@@ -122,12 +121,6 @@ def _verify(
     for alpha in diamonds:
         if any(map(alpha.splits, output.diamond_contypes)):
             raise ConstructionPostconditionFailed(f"output has a splittable diamond for {alpha}")
-    for contype in output._nerve_contypes if nerves else ():
-        alpha = next((a for a in nerves if a.splits(contype)), None)
-        if alpha is not None:
-            raise ConstructionPostconditionFailed(f"the nerve of the output is not {alpha}-connected")
-    if scott and not scott_frame_conditions(output, upsets):
-        raise ConstructionPostconditionFailed("output violates the Scott-form frame conditions")
     for holds, message in (
         (witness.is_total, "witness must be total on the output"),
         (is_up_reduction(witness), "witness is not a surjective p-morphism onto the input"),
@@ -200,7 +193,7 @@ def gradify_with_scott(poset: FinitePoset, lambdas: Iterable[Signature]) -> Cons
     if Signature.parse("2") in lambdas:
         # the depth-2 axiom caps the height at 1, which forces gradedness
         result = _identity_result(poset, "already graded under the depth bound")
-        _verify(result, poset, upsets=lambdas, scott=True)
+        _verify(result, poset, upsets=lambdas)
         return result
 
     n = height(poset)
@@ -237,7 +230,7 @@ def gradify_with_scott(poset: FinitePoset, lambdas: Iterable[Signature]) -> Cons
     trace.append({"step": "merge_tops", "identified_classes": classes})
 
     result = _assembled(labels, edges, mapping, poset, trace)
-    _verify(result, poset, upsets=lambdas, scott=True)
+    _verify(result, poset, upsets=lambdas)
     return result
 
 
@@ -317,25 +310,15 @@ def _cover_pairs(poset: FinitePoset) -> List[Tuple[int, int]]:
 
 
 def _sample_ample_signatures(n: int) -> List[Signature]:
-    """A spot-check subset of the signatures nervification protects:
-    everything except the two-pronged fork and the chains shorter than the
-    height. It always holds 1^3 and 2.1, which between them split every
-    connectedness type of two or more components other than (1,1); so a
-    verified output's strict diamonds are all connected or two-point
-    antichains."""
+    """A spot-check subset of the signatures nervification protects at
+    height n: distinct, no two-pronged fork, no chain shorter than n. It
+    holds 1^3 and 2.1, which between them split every connectedness type of
+    two or more components other than (1,1); so a verified output's strict
+    diamonds are all connected or two-point antichains."""
     texts = ["1^3", "1^4", "2.1", "2^2", "3.1", "2.1^2", f"{n + 1}"]
     if n >= 1:
         texts.append(f"{n}")
-    out = []
-    for text in texts:
-        alpha = Signature.parse(text)
-        if alpha == DIFORK:
-            continue
-        if alpha.is_chain and alpha.entries[0][0] < n:
-            continue
-        if alpha not in out:
-            out.append(alpha)
-    return out
+    return [Signature.parse(t) for t in texts]
 
 
 def nervify(
@@ -392,7 +375,7 @@ def nervify(
     for u, group in lex_fibres.items():
         rank_u = tree.heights[group[0]]
         if rank_u == 0:
-            continue  # the whole poset is a single point
+            continue  # a single point, which passes as the identity candidate
         for t in group:
             pen = _chain_index_at(tree, t, rank_u - 1)
             pen_of[t] = pen
@@ -411,7 +394,7 @@ def nervify(
         out = {}
         for pos, u in enumerate(fibre_names):
             group = lex_fibres[u]
-            if (order_bits >> pos) & 1 and tree.heights[group[0]] > 0:
+            if (order_bits >> pos) & 1:
                 def risky(t):
                     pen = pen_of[t]
                     return bump_matters(pen, len(incident[pen]) + 1, len(incident[pen]))
@@ -539,9 +522,7 @@ def nervify(
         for u in sorted(fibres):
             group = fibres[u]
             added: List[str] = []
-            if tree.heights[group[0]] == 0:
-                added.append(f"w@{u}")
-            elif len(group) == 1:
+            if len(group) == 1:
                 added.append(f"w@{u}")
                 edges.append((next_attachment(pen_of[group[0]], u), f"w@{u}"))
             for i, (p, q) in enumerate(zip(group, group[1:]), start=1):
@@ -618,8 +599,8 @@ def nervify(
 def starlike_witness(poset: FinitePoset, lambdas: Iterable[Signature]) -> ConstructionResult:
     """The full pipeline: gradify (choosing the regime by whether Scott's
     signature is an axiom), then nervify. The result maps onto the input and
-    stays valid on every iterated nerve, which is re-verified both directly
-    (nerve-connectedness) and on the nerve itself."""
+    stays valid on every iterated nerve, which the verifier's upset and
+    diamond checks decide (see ``_verify``); no nerve is built."""
     lambdas = set(lambdas)
     step_one = (
         gradify_with_scott(poset, lambdas)
@@ -631,5 +612,5 @@ def starlike_witness(poset: FinitePoset, lambdas: Iterable[Signature]) -> Constr
     result = ConstructionResult(
         step_two.output, witness, step_one.trace + step_two.trace
     )
-    _verify(result, poset, upsets=lambdas, diamonds=lambdas, nerves=lambdas)
+    _verify(result, poset, upsets=lambdas, diamonds=lambdas)
     return result

@@ -6,7 +6,8 @@ class PolynerveError(Exception):
 
 
 class MalformedInput(PolynerveError, ValueError):
-    """Input JSON that does not follow the poset or complex schema."""
+    """Input the package cannot read: JSON off the poset or complex schema,
+    a malformed signature, logic spec or relation, or a count out of range."""
 
 
 # --- poset construction / queries ---------------------------------------
@@ -48,7 +49,7 @@ class NotGraded(PolynerveError):
     pass
 
 
-class IndexOutOfRange(PolynerveError):
+class IndexOutOfRange(PolynerveError, IndexError):
     pass
 
 

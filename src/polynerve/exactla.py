@@ -222,7 +222,7 @@ def _simplex_min(tableau, basis, cost, width, denom) -> int:
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
                     leaving = i
         if leaving is None:
-            raise ArithmeticError("LP unexpectedly unbounded")
+            raise RuntimeError("internal error: LP unexpectedly unbounded")
         denom = _pivot(tableau, leaving, entering, denom)
         basis[leaving] = entering
 

@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from typing import Tuple
 
-from .errors import MissingParameter, ParseError, UnknownName
+from .errors import MalformedInput, MissingParameter, ParseError, UnknownName
 
 
 class Formula:
@@ -287,7 +287,7 @@ def named_formula(name: str, n: int | None = None) -> Formula:
             )
         if name == "BTW":
             if n < 1:
-                raise ValueError("BTW needs n >= 1")
+                raise MalformedInput("BTW needs n >= 1")
             premise = _and_all(
                 Neg(And(Neg(ps[i]), Neg(ps[j])))
                 for i in range(n + 1)

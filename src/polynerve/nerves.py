@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from .errors import EmptyPoset, SizeBudgetExceeded
+from .errors import EmptyPoset, MalformedInput, SizeBudgetExceeded
 from .morphisms import PMorphism, is_up_reduction
 from .posets import SIZE_BUDGET, FinitePoset, _bits, poset_from_cover_dag
 from .signatures import Signature
@@ -59,7 +59,7 @@ def nerve(poset: FinitePoset, budget: int = SIZE_BUDGET) -> NervePoset:
 def iterated_nerve(poset: FinitePoset, k: int, budget: int = SIZE_BUDGET) -> FinitePoset:
     """k-fold nerve; k = 0 returns the poset itself."""
     if k < 0:
-        raise ValueError("nerve iteration count must be nonnegative")
+        raise MalformedInput("nerve iteration count must be nonnegative")
     current = poset
     for _ in range(k):
         current = nerve(current, budget=budget)

@@ -46,7 +46,7 @@ class FinitePoset:
             raise DuplicateLabel("element labels must be pairwise distinct")
         up_masks = tuple(up_masks)
         if len(up_masks) != len(labels):
-            raise ValueError("one relation row per element required")
+            raise MalformedInput("one relation row per element required")
         if not _trusted:
             _check_partial_order(up_masks)
         self.labels = labels
@@ -427,12 +427,12 @@ def _check_partial_order(up_masks: Sequence[int]) -> None:
     n = len(up_masks)
     for i, mask in enumerate(up_masks):
         if not (mask >> i) & 1:
-            raise ValueError(f"relation not reflexive at element {i}")
+            raise MalformedInput(f"relation not reflexive at element {i}")
         for j in _bits(mask & ~(1 << i)):
             if (up_masks[j] >> i) & 1:
                 raise CycleDetected(f"elements {i} and {j} are mutually related")
             if up_masks[j] & ~mask:
-                raise ValueError(f"relation not transitive at {i} <= {j}")
+                raise MalformedInput(f"relation not transitive at {i} <= {j}")
 
 
 # -- construction ----------------------------------------------------------------------

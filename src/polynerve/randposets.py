@@ -7,6 +7,7 @@ fresh bottom. Convenience sampling only, with no uniformity claim.
 from __future__ import annotations
 
 import random
+from .errors import MalformedInput
 from .posets import FinitePoset, validate_poset
 
 
@@ -18,7 +19,7 @@ def random_poset(
 ) -> FinitePoset:
     """A random poset on exactly ``size`` elements (the root counts)."""
     if size < 1:
-        raise ValueError("poset size must be at least 1")
+        raise MalformedInput("poset size must be at least 1")
     body = size - 1 if rooted else size
     labels = [f"x{i}" for i in range(body)]
     edges = [

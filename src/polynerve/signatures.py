@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Tuple
 
+from .errors import IndexOutOfRange, MalformedInput
+
 
 @dataclass(frozen=True, order=False)
 class Signature:
@@ -23,7 +25,7 @@ class Signature:
         counts: dict[int, int] = {}
         for n, m in self.entries:
             if n < 1 or m < 1:
-                raise ValueError(f"signature entries must be positive, got {n}^{m}")
+                raise MalformedInput(f"signature entries must be positive, got {n}^{m}")
             counts[n] = counts.get(n, 0) + m
         normalised = tuple(sorted(counts.items(), reverse=True))
         object.__setattr__(self, "entries", normalised)
@@ -50,7 +52,7 @@ class Signature:
             try:
                 n, m = int(n_text), int(m_text)
             except ValueError:
-                raise ValueError(f"bad signature component {part!r} in {text!r}") from None
+                raise MalformedInput(f"bad signature component {part!r} in {text!r}") from None
             entries.append((n, m))
         return cls(tuple(entries))
 
@@ -70,7 +72,7 @@ class Signature:
     def at(self, j: int) -> int:
         """The j-th height (1-indexed, descending)."""
         if not 1 <= j <= self.size:
-            raise IndexError(f"signature index {j} out of range 1..{self.size}")
+            raise IndexOutOfRange(f"signature index {j} out of range 1..{self.size}")
         for n, m in self.entries:
             if j <= m:
                 return n

@@ -35,12 +35,20 @@ LAMBDA_POOL = [
 ]
 
 
-def check_result(result, original, lambdas=None):
+def check_result(result, original, lambdas=None, nerve=False):
+    """The witness is an up-reduction onto the original and the output
+    validates ``lambdas``; with 2.1 among them, the output meets the
+    Scott-form frame conditions, and with ``nerve`` (a nervify or pipeline
+    output) its nerve validates them too. The verifier reads neither."""
     assert pn.is_up_reduction(result.witness)
     assert result.witness.source is result.output
     assert set(result.witness.mapping.values()) == set(original.labels)
     if lambdas is not None:
         assert pn.validates_sfl(result.output, lambdas)
+        if S("2.1") in lambdas:
+            assert pn.scott_frame_conditions(result.output, lambdas)
+        if nerve:
+            assert all(pn.nerve_is_alpha_connected(result.output, alpha) for alpha in lambdas)
 
 
 # -- gradification with Scott's signature ----------------------------------------------
@@ -79,6 +87,16 @@ def test_gradify_with_scott_singleton():
     result = pn.gradify_with_scott(single, [S("2.1")])
     assert len(result.output) == 1
     check_result(result, single)
+
+
+def test_gradify_with_scott_under_a_depth_two_axiom():
+    # the axiom 2 caps the height at 1, so the input comes back as it is
+    fork = pn.starlike_tree(S("1^3"))
+    lambdas = [S("2.1"), S("2")]
+    result = pn.gradify_with_scott(fork, lambdas)
+    assert result.output is fork
+    assert result.trace == [{"step": "already graded under the depth bound"}]
+    check_result(result, fork, lambdas)
 
 
 def test_gradify_with_scott_preconditions(tangled_frame):
@@ -256,7 +274,7 @@ def test_nervify_strategies(spec, lambdas, winner):
     lambdas = None if lambdas is None else [S(lambdas)]
     result = pn.nervify(poset, lambdas)
     assert strategy(result) == winner
-    check_result(result, poset, lambdas)
+    check_result(result, poset, lambdas, nerve=True)
     assert pn.is_graded(result.output) is not None
 
 
@@ -316,13 +334,6 @@ BROKEN = {
         {"upsets": [S("1^3")], "diamonds": [S("1^3")]},
         r"splittable diamond for 1\^3",
     ),
-    "split nerve": (
-        "r<a,b,c",
-        "r<a,b,c",
-        None,
-        {"nerves": [S("1^3")]},
-        r"nerve of the output is not 1\^3-connected",
-    ),
 }
 
 
@@ -345,12 +356,11 @@ def test_verifier_walks_no_chains(monkeypatch, theta_frame):
         return chains(poset, budget)
 
     monkeypatch.setattr(pn.FinitePoset, "iter_chain_masks", counted)
-    # the nerve check reads the output's interval types, so neither the
-    # pipeline nor the verifier, with or without nerve axioms, enumerates a
-    # chain
+    # the upset and diamond checks decide the nerve's connectedness, so
+    # neither the pipeline nor the verifier enumerates a chain
     result = pn.starlike_witness(theta_frame, lambdas)
     assert walks == []
-    _verify(result, theta_frame, upsets=lambdas, diamonds=lambdas, nerves=lambdas)
+    _verify(result, theta_frame, upsets=lambdas, diamonds=lambdas)
     assert walks == []
     _verify(result, theta_frame, upsets=lambdas)
     assert walks == []
@@ -362,7 +372,7 @@ def test_verifier_walks_no_chains(monkeypatch, theta_frame):
 def test_starlike_witness_theta_frame(theta_frame):
     lambdas = [S("2.1")]
     result = pn.starlike_witness(theta_frame, lambdas)
-    check_result(result, theta_frame, lambdas)
+    check_result(result, theta_frame, lambdas, nerve=True)
     assert pn.is_alpha_nerve_connected(result.output, S("2.1"))
     assert pn.is_alpha_connected(pn.nerve(result.output), S("2.1"))
 
@@ -370,7 +380,7 @@ def test_starlike_witness_theta_frame(theta_frame):
 def test_starlike_witness_chain():
     chain = make_chain(4)
     result = pn.starlike_witness(chain, [S("1^3")])
-    check_result(result, chain, [S("1^3")])
+    check_result(result, chain, [S("1^3")], nerve=True)
     assert pn.are_isomorphic(result.output, chain) is not None
 
 
@@ -413,9 +423,10 @@ def test_resistant_frame_has_a_certified_witness():
     witness = pn.PMorphism(cover, frame, frozenset(mapping), mapping)
     assert pn.is_up_reduction(witness)
     assert pn.is_graded(cover) is not None and pn.height(cover) == pn.height(frame) == 3
-    _verify(ConstructionResult(cover, witness), frame, upsets=lambdas, diamonds=lambdas, nerves=lambdas)
+    _verify(ConstructionResult(cover, witness), frame, upsets=lambdas, diamonds=lambdas)
     for alpha in lambdas:
         assert pn.is_alpha_nerve_connected(cover, alpha)
+        assert pn.nerve_is_alpha_connected(cover, alpha)
     nerve = pn.nerve(cover)
     assert len(nerve) == 77 and pn.validates_sfl(nerve, lambdas)
 

@@ -667,6 +667,21 @@ def test_refinement(triangle, segment):
     assert not pn.is_refinement(other, triangle)
 
 
+def test_refinement_with_an_empty_side(triangle):
+    # the empty complex and the point of R^0 share ambient dimension 0
+    empty, origin = pn.validate_complex([]), pn.validate_complex([pn.Simplex([()])])
+    for finer, coarser, answer in [
+        (empty, empty, True),
+        (origin, origin, True),
+        (empty, origin, False),
+        (origin, empty, False),
+        (empty, triangle, False),
+        (triangle, empty, False),
+    ]:
+        assert pn.is_refinement(finer, coarser) is answer
+        assert volume_refinement_oracle(finer, coarser) is answer
+
+
 def _random_simplex(rng, dim, ambient):
     while True:
         vertices = tuple(

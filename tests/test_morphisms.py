@@ -56,6 +56,15 @@ def test_constant_map_fails_back():
     assert pn.is_p_morphism(to_top) is True
 
 
+def test_order_reversing_map_fails_forth():
+    chain = make_chain(2)
+    # the top lands below the image of the bottom: surjective, but not a
+    # p-morphism, so not an up-reduction either
+    swap = PMorphism(chain, chain, frozenset(chain.labels), {"x0": "x1", "x1": "x0"})
+    assert pn.is_p_morphism(swap) is False
+    assert pn.is_up_reduction(swap) is False
+
+
 def test_domain_must_be_up_closed(theta_frame):
     bad = PMorphism(theta_frame, theta_frame, frozenset({"r"}), {"r": "r"})
     with pytest.raises(DomainNotUpClosed):

@@ -1,12 +1,16 @@
-"""Three guards over the package source. No function in the package calls
+"""Four guards over the package source. No function in the package calls
 itself: the parser, the chain walk and the backtracking searches keep
 explicit stacks, so their declared limits (MAX_NESTING, the size budget,
 the search budget), not the interpreter's recursion limit, decide what they
 refuse. The constructions refuse unverified output from one verifier,
-one profile check and nervify's final refusal only. And each poset owns its
+one profile check and nervify's final refusal only. Each poset owns its
 one upset algebra: nothing else in the package builds one, and geometry
-reads open sets through the face poset's algebra, not through semantics."""
+reads open sets through the face poset's algebra, not through semantics.
+And every refusal is a PolynerveError: the only builtin exceptions the
+package raises are RuntimeError for internal errors and TypeError for
+objects that are not formulas."""
 import ast
+import builtins
 import os
 import subprocess
 import sys
@@ -136,6 +140,40 @@ def test_the_poset_owns_its_upset_algebra():
     }
     geometry = Path(polynerve.__file__).parent / "geometry.py"
     assert "semantics" not in _imports(ast.parse(geometry.read_text()))
+
+
+def _builtin_raises(tree):
+    """(exception name, line) for every raise that builds or names a builtin
+    exception class; a bare re-raise names none."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            continue
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        named = getattr(builtins, getattr(exc, "id", ""), None)
+        if isinstance(named, type) and issubclass(named, BaseException):
+            found.append((exc.id, node.lineno))
+    return sorted(found, key=lambda raised: raised[1])
+
+
+def test_guard_finds_builtin_raises():
+    tree = ast.parse(
+        "def f(x):\n    if x:\n        raise ValueError('bad')\n    raise KeyError\n"
+        "def g():\n    try:\n        pass\n    except OSError:\n        raise\n"
+        "    raise errors.MalformedInput('bad') from None\n"
+        "raise argparse.ArgumentTypeError('x')\nraise RuntimeError('internal error: y')\n"
+    )
+    assert _builtin_raises(tree) == [("ValueError", 3), ("KeyError", 4), ("RuntimeError", 12)]
+
+
+def test_every_refusal_is_a_polynerve_error():
+    allowed = ("RuntimeError", "TypeError")
+    found = {
+        path.name: [(name, line) for name, line in raises if name not in allowed]
+        for path in SOURCES
+        if (raises := _builtin_raises(ast.parse(path.read_text())))
+    }
+    assert {name: raises for name, raises in found.items() if raises} == {}
 
 
 LOW_LIMIT_SCRIPT = """

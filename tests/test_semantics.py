@@ -110,6 +110,15 @@ def test_validates_bd_cross_agreement_on_samples():
             assert result == (pn.height(poset) <= n - 1)
 
 
+def test_validates_bd_matches_the_chain_search():
+    # the definition: no up-reduction onto the chain on n + 1 elements
+    frames = sample_posets(40, 6, seed=85) + sample_posets(40, 6, seed=87, rooted=True)
+    for poset in frames + [validate_poset([], [])]:
+        for n in range(0, 7):
+            chain = pn.starlike_tree(Signature(((n, 1),) if n else ()))
+            assert pn.validates_bd(poset, n) == pn.validates_jankov(poset, chain), (poset, n)
+
+
 # -- validates_sfl and the Scott-form conditions -------------------------------------------
 
 
