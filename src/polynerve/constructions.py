@@ -23,7 +23,6 @@ from .morphisms import PMorphism, compose, is_up_reduction
 from .posets import (
     FinitePoset,
     _bits,
-    _chain_index_at,
     height,
     is_graded,
     tree_unravelling,
@@ -337,9 +336,9 @@ def nervify(
        room);
     3. chevron arrangements, which chop the tree tops and rebuild them from
        chevron ladders, splitting penultimate rungs shared between tops into
-       copies served once per top. The order of each fibre's branches and
-       the orientation in which tops serve the copies are free parameters,
-       searched deterministically: at most 2^7 fibre orderings, at most 256
+       copies served once per top. A fibre ordering fixes the plan (the rungs
+       to split); the orientation in which tops serve the copies is free.
+       Both are searched deterministically: at most 2^7 fibre orderings, 256
        orientation vectors per ordering, at most 4096 arrangements in all.
 
     With ``lambdas`` given, an input that refutes them is refused up front,
@@ -359,27 +358,18 @@ def nervify(
 
     n = height(poset)
     tree, last, lex_fibres, base_trace = _tree_scaffold(poset)
-    base_trunk = [i for i in range(tree.n) if tree.depths[i] != 0]
+    # the tree without its tops (a top covers nothing)
+    base_labels = [lab for lab, depth in zip(tree.labels, tree.depths) if depth]
+    base_edges = [(tree.labels[i], tree.labels[j]) for i, j in _cover_pairs(tree) if tree.depths[j]]
 
-    base_labels = [tree.labels[i] for i in base_trunk]
-    base_edges = [
-        (tree.labels[i], tree.labels[j])
-        for i in base_trunk
-        for j in tree.covers_up[i]
-        if tree.depths[j] != 0
-    ]
-
-    # Penultimate rung of each branch, and the top elements incident to it.
+    # Penultimate rung of each branch (its top's lower cover), and its tops.
     pen_of: Dict[int, int] = {}
     incident: Dict[int, List[str]] = {}
     for u, group in lex_fibres.items():
-        rank_u = tree.heights[group[0]]
-        if rank_u == 0:
-            continue  # a single point, which passes as the identity candidate
         for t in group:
-            pen = _chain_index_at(tree, t, rank_u - 1)
-            pen_of[t] = pen
-            incident.setdefault(pen, []).append(u)
+            if tree.covers_down[t]:  # else a single point, which passes as the identity
+                pen_of[t] = pen = tree.covers_down[t][0]
+                incident.setdefault(pen, []).append(u)
 
     fibre_names = sorted(lex_fibres)
 
@@ -425,19 +415,17 @@ def nervify(
             return not (base_comps == 1 and grown == 2)
         return any(base_comps < k <= grown for k in fork_sizes)
 
-    def plan(fibres: Dict[str, List[int]]):
-        """Decide which rungs get split under this ordering and what every
-        rung's attachment points are."""
+    def plan(fibres: Dict[str, List[int]]) -> Optional[Dict[int, List[str]]]:
+        """The rungs this ordering splits, by index in rung order, each with
+        its two copy labels; None when a rung that keeps taller structure
+        would need splitting."""
 
         def adjacency(pen: int, u: str) -> int:
             group = fibres[u]
             pos = next(i for i, t in enumerate(group) if pen_of[t] == pen)
             return 1 if len(group) == 1 or pos in (0, len(group) - 1) else 2
 
-        attachments: Dict[int, List[str]] = {}
         copies_of: Dict[int, List[str]] = {}
-        removed: set = set()
-        split_trace: List[dict] = []
         for pen, tops_at in sorted(incident.items()):
             got = sum(adjacency(pen, u) for u in tops_at)
             if got > len(tops_at) and bump_matters(pen, got, len(tops_at)):
@@ -445,23 +433,8 @@ def nervify(
                     # a copy cannot stand in for the taller continuations, so
                     # this arrangement cannot work; try another ordering
                     return None
-                pen_lab = tree.labels[pen]
-                copy_labels = [f"{pen_lab}%{j}" for j in (1, 2)]
-                copies_of[pen] = copy_labels
-                attachments[pen] = copy_labels
-                removed.add(pen_lab)
-                split_trace.append(
-                    {"step": "split_rung", "rung": pen_lab, "added_elements": copy_labels}
-                )
-            else:
-                attachments[pen] = [tree.labels[pen]]
-        incidence_keys = sorted(
-            (pen, u)
-            for pen, tops_at in incident.items()
-            if len(attachments[pen]) >= 2
-            for u in tops_at
-        )
-        return attachments, copies_of, removed, split_trace, incidence_keys
+                copies_of[pen] = [f"{tree.labels[pen]}%{j}" for j in (1, 2)]
+        return copies_of
 
     def ladder(u: str, i: int, p: int, q: int, meet: int, edges: list) -> List[str]:
         """The chevron elements w@u:i.j that glue the branches below the tops
@@ -472,11 +445,12 @@ def nervify(
         # distinct tops with the same image never cover their meet
         assert tree.heights[p] - bottom >= 2
         labels = [f"w@{u}:{i}.{j}" for j in range(1, tree.heights[p] - bottom - 1)]
+        # the two branches, each the chain below its top listed by height
+        chains = [sorted(_bits(tree.down_mask(t)), key=tree.heights.__getitem__) for t in (p, q)]
         for j, lab in enumerate(labels, start=1):
             if j > 1:
                 edges.append((labels[j - 2], lab))
-            edges.append((tree.labels[_chain_index_at(tree, p, bottom + j)], lab))
-            edges.append((tree.labels[_chain_index_at(tree, q, bottom + j)], lab))
+            edges.extend((tree.labels[chain[bottom + j]], lab) for chain in chains)
         return labels
 
     def build_ladders():
@@ -502,22 +476,28 @@ def nervify(
                 trace.append({"step": "ladder", "top": u, "added_elements": added})
         return _assembled(labels, edges, mapping, poset, trace), tree.labels, {}
 
-    def build_chevrons(fibres, attachments, copies_of, removed, split_trace, orient):
+    def build_chevrons(fibres, copies_of, orient):
+        """The tree without its tops or split rungs, plus the rungs' copies and
+        each fibre's chevrons; a top takes its rung, or the rung's copies in
+        turn, from the second when ``orient`` says so."""
+        removed = {tree.labels[pen] for pen in copies_of}
         labels = [lab for lab in base_labels if lab not in removed]
         profiled = list(labels)
         edges = [(a, b) for a, b in base_edges if a not in removed and b not in removed]
         mapping = {lab: last(lab) for lab in labels}
-        trace = base_trace + split_trace
+        trace = base_trace + [
+            {"step": "split_rung", "rung": tree.labels[pen], "added_elements": copy_labels}
+            for pen, copy_labels in copies_of.items()
+        ]
         consumed: Dict[Tuple[int, str], int] = {}
 
         def next_attachment(pen: int, u: str) -> str:
-            atts = attachments[pen]
-            if len(atts) == 1:
-                return atts[0]
+            copy_labels = copies_of.get(pen)
+            if copy_labels is None:
+                return tree.labels[pen]
             used = consumed.get((pen, u), 0)
             consumed[(pen, u)] = used + 1
-            order = list(atts) if not orient.get((pen, u)) else list(reversed(atts))
-            return order[used % len(order)]
+            return copy_labels[(used + orient[(pen, u)]) % 2]
 
         for u in sorted(fibres):
             group = fibres[u]
@@ -551,7 +531,7 @@ def nervify(
         split = {lab: len(incident[pen]) for pen, labs in copies_of.items() for lab in labs}
         return _assembled(labels, edges, mapping, poset, trace), profiled, split
 
-    verified = rejected = 0
+    rejected = 0
     capped = False
 
     def candidates():
@@ -564,23 +544,22 @@ def nervify(
         arrangements = 0
         for order_bits in range(1 << min(len(fibre_names), 7)):
             fibres = order_fibres(order_bits)
-            planned = plan(fibres)
-            if planned is None:
+            copies_of = plan(fibres)
+            if copies_of is None:
                 rejected += 1
                 continue
-            attachments, copies_of, removed, split_trace, incidence_keys = planned
-            for vector in range(min(1 << len(incidence_keys), 256)):
+            keys = sorted((pen, u) for pen in copies_of for u in incident[pen])
+            for vector in range(min(1 << len(keys), 256)):
                 if arrangements == 4096:
                     capped = True
                     return
                 arrangements += 1
-                orient = {key: (vector >> bit) & 1 for bit, key in enumerate(incidence_keys)}
-                yield build_chevrons(fibres, attachments, copies_of, removed, split_trace, orient)
+                orient = {key: (vector >> bit) & 1 for bit, key in enumerate(keys)}
+                yield build_chevrons(fibres, copies_of, orient)
 
     guarded = _sample_ample_signatures(n) if lambdas is None else lambdas
     failure: Optional[Exception] = None
-    for result, profiled, split in candidates():
-        verified += 1
+    for verified, (result, profiled, split) in enumerate(candidates(), start=1):
         try:
             if lambdas is None:
                 _check_profiles(result, poset, profiled, split)

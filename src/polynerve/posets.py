@@ -232,43 +232,63 @@ class FinitePoset:
         """Longest chain inside ``mask``, minus one; -1 for the empty mask."""
         return max(self._chain_heights(mask).values(), default=-1)
 
-    def _typed_components(self, mask: int) -> List[Tuple[int, int]]:
-        """The components of ``mask`` in ``component_masks`` order, each
-        with its height, all heights read off one longest-chain pass."""
-        comps = self.component_masks(mask)
-        h = self._chain_heights(mask)
-        return [(c, max(v for i, v in h.items() if c >> i & 1)) for c in comps]
+    def _typed_components(self, mask: int, level=None) -> List[Tuple[int, int]]:
+        """The components of ``mask`` in ``component_masks`` order, each with
+        its height: the largest ``level`` of a member, the longest chain inside
+        ``mask`` ending (or starting) there; by default one longest-chain pass."""
+        if level is None:
+            level = self._chain_heights(mask)
+        typed = []
+        for c in self.component_masks(mask):
+            best, m = -1, c
+            while m:  # inline: through _bits this step took about twice as long
+                b = m & -m
+                m ^= b
+                v = level[b.bit_length() - 1]
+                if v > best:
+                    best = v
+            typed.append((c, best))
+        return typed
 
     def contype_of_mask(self, mask: int) -> Tuple[int, ...]:
         """Connectedness type of the subposet on ``mask``: the heights
         (longest chain sizes) of its components in descending order, ``()``
         for the empty mask."""
+        return self._contype(mask)
+
+    def _contype(self, mask: int, level=None) -> Tuple[int, ...]:
+        """``contype_of_mask`` with the heights of ``_typed_components``."""
         if not mask & (mask - 1):  # empty or one element: no component pass
             return (1,) if mask else ()
-        return tuple(sorted((h + 1 for _, h in self._typed_components(mask)), reverse=True))
+        return tuple(sorted((h + 1 for _, h in self._typed_components(mask, level)), reverse=True))
 
     @cached_property
     def strict_up_contypes(self) -> Tuple[Tuple[int, ...], ...]:
         """Connectedness type of the strict upset of each element, indexed by
-        element, as height tuples (see :meth:`contype_of_mask`)."""
-        return tuple(self.contype_of_mask(self.strict_up_mask(i)) for i in range(self.n))
+        element, as height tuples (see :meth:`contype_of_mask`); an upset
+        holds every chain starting in it, so its heights are the depths."""
+        return tuple(self._contype(self.strict_up_mask(i), self.depths) for i in range(self.n))
 
     @cached_property
     def diamond_contypes(self) -> frozenset:
         """Distinct connectedness types of the strict diamonds of all pairs
-        x < y, as height tuples."""
-        return frozenset(
-            self.contype_of_mask(self.strict_up_mask(i) & self.strict_down_mask(j))
-            for i in range(self.n)
-            for j in _bits(self.strict_up_mask(i))
-        )
+        x < y, as height tuples. One longest-chain pass over the strict upset
+        of x serves every y: for z in (x, y), the longest chain that ends at
+        z inside that upset lies in (x, z], so inside the diamond."""
+        types = set()
+        for i in range(self.n):
+            up = self.strict_up_mask(i)
+            level = self._chain_heights(up)
+            types.update(self._contype(up & self.strict_down_mask(j), level) for j in _bits(up))
+        return frozenset(types)
 
     @cached_property
     def _nerve_contypes(self) -> Tuple[Tuple[int, ...], ...]:
         """Distinct connectedness types of the strict upsets of the nerve,
         sorted, up to types that add no split: those of every strict upset,
-        strict downset and strict diamond (see ``nerve_is_alpha_connected``)."""
-        downs = (self.contype_of_mask(self.strict_down_mask(i)) for i in range(self.n))
+        strict downset (component heights from ``heights``, dual to the
+        upsets) and strict diamond (see ``nerve_is_alpha_connected``)."""
+        downs = (self._contype(self.strict_down_mask(i), self.heights) for i in range(self.n))
         return tuple(sorted({*self.strict_up_contypes, *self.diamond_contypes, *downs}))
 
     # -- chains ---------------------------------------------------------------------
@@ -400,12 +420,6 @@ class UpsetAlgebra:
             raise SizeBudgetExceeded(f"{len(masks) ** k} valuations exceed the budget of {budget}")
         self._table = masks
         return masks
-
-    def meet(self, u: int, v: int) -> int:
-        return u & v
-
-    def join(self, u: int, v: int) -> int:
-        return u | v
 
     def implies(self, u: int, v: int) -> int:
         """U -> V holds at the points x with no y >= x in U but not in V:
@@ -680,13 +694,5 @@ def chain_element_at(tree: FinitePoset, x: str, k: int) -> str:
         raise IndexOutOfRange(
             f"no element of height {target} below {x!r} (height {tree.heights[i]})"
         )
-    return tree.labels[_chain_index_at(tree, i, target)]
-
-
-def _chain_index_at(tree: FinitePoset, i: int, height: int) -> int:
-    """The index of the element at ``height`` on the chain below element
-    ``i`` of a tree."""
-    for j in _bits(tree.down_mask(i)):
-        if tree.heights[j] == height:
-            return j
-    raise IndexOutOfRange(f"no element of height {height} below {tree.labels[i]!r}")
+    # the downset of a tree element is a chain with one element per height
+    return next(tree.labels[j] for j in _bits(tree.down_mask(i)) if tree.heights[j] == target)

@@ -6,7 +6,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 import polynerve as pn
-from polynerve import Signature, validate_poset
+from polynerve import Signature, constructions, validate_poset
 from polynerve.constructions import (
     ConstructionResult,
     _check_profiles,
@@ -488,3 +488,43 @@ def test_construction_bytes_are_pinned():
         count += 1
     assert count == 463
     assert digest.hexdigest() == "8364be768e76a1712bbe20456ec8866ac4a9d95041cb9261cdce25fd08cb5c04"
+
+
+def test_every_candidate_is_pinned(monkeypatch):
+    """Every candidate a construction hands to its checks, losers included,
+    stays byte for byte what it was when the digest was recorded: over the
+    calls of ``construction_lines`` and, with and without an axiom, the
+    frames of ``test_nervify_strategies`` and the refused frame. The pin
+    above sees only what each call returns."""
+    digest = hashlib.sha256()
+    calls = 0
+
+    def hashed(check):
+        def wrapper(result, *args, **kwargs):
+            nonlocal calls
+            calls += 1
+            text = check.__name__ + result.output.to_json() + result.witness.to_json() + result.trace_json()
+            digest.update(text.encode() + b"\n")
+            return check(result, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("_check_profiles", "_verify"):
+        monkeypatch.setattr(constructions, name, hashed(getattr(constructions, name)))
+    for _ in construction_lines():
+        pass
+    frames = [
+        "rt<x0",
+        "rt<x0<x1<x4; rt<x2<x3<x4",
+        "rt<x0,x1,x2<x3",
+        "rt<x0,x1,x3; x0,x1<x2; x0,x1,x3<x4",
+        "rt<x0,x1,x2; x0,x1,x2<x3,x5; x3<x4",
+    ]
+    for spec in frames:
+        for lambdas in (None, [S("1^3")], [S("2.1")]):
+            try:
+                pn.nervify(layered_frame(spec), lambdas)
+            except PolynerveError:
+                pass
+    assert calls == 1251
+    assert digest.hexdigest() == "6952318456b4ee0269a7de3911c25f89e152c0d6fc2cf81d57726eea5d8e89e5"

@@ -871,7 +871,7 @@ def test_formulas_read_on_the_polyhedron_match_the_face_poset():
                 opens = {name: _open_of(complex_, mask) for name, mask in masks.items()}
                 for phi in formulas:
                     value = _evaluate(
-                        phi, masks, algebra.top, 0, algebra.meet, algebra.join, algebra.implies
+                        phi, masks, algebra.top, 0, operator.and_, operator.or_, algebra.implies
                     )
                     assert value == naive_evaluate(phi, masks, algebra)
                     region = _evaluate(

@@ -263,6 +263,37 @@ def test_mask_kernel_matches_oracles():
             assert poset.contype_of_mask(mask) == tuple(want)
 
 
+def test_interval_type_tables_match_the_per_set_types():
+    # the tables read component heights off depths, heights and one pass per
+    # bottom; contype_of_mask runs its own pass on each set
+    frames = sample_posets(60, 9, seed=41) + sample_posets(60, 9, seed=43, rooted=True)
+    for poset in frames:
+        ups = [poset.strict_up_mask(i) for i in range(poset.n)]
+        downs = [poset.strict_down_mask(i) for i in range(poset.n)]
+        assert poset.strict_up_contypes == tuple(map(poset.contype_of_mask, ups))
+        pairs = [(i, j) for i in range(poset.n) for j in range(poset.n) if ups[i] >> j & 1]
+        diamonds = {poset.contype_of_mask(ups[i] & downs[j]) for i, j in pairs}
+        assert poset.diamond_contypes == diamonds
+        every = {*poset.strict_up_contypes, *diamonds, *map(poset.contype_of_mask, downs)}
+        assert poset._nerve_contypes == tuple(sorted(every))
+
+
+def test_interval_type_tables_take_one_pass_per_bottom(monkeypatch):
+    passes = []
+    chain_heights = pn.FinitePoset._chain_heights
+
+    def counted(poset, mask, dual=False):
+        passes.append(mask)
+        return chain_heights(poset, mask, dual)
+
+    monkeypatch.setattr(pn.FinitePoset, "_chain_heights", counted)
+    for poset in [make_chain(12), make_antichain(5)] + sample_posets(20, 9, seed=47, rooted=True):
+        passes.clear()
+        poset._nerve_contypes
+        # heights, depths and one pass over each element's strict upset
+        assert len(passes) <= poset.n + 2
+
+
 def test_alpha_blocks_are_an_alpha_partition():
     rng = random.Random(31)
     for poset, masks in _kernel_cases(31):

@@ -102,17 +102,10 @@ def test_validates_bd_examples():
     assert pn.validates_bd(validate_poset([], []), 10**9)
 
 
-def test_validates_bd_cross_agreement_on_samples():
-    # the internal cross-assert does the work; this drives it over samples
-    for poset in sample_posets(25, 7, seed=83):
-        for n in range(0, 4):
-            result = pn.validates_bd(poset, n)
-            assert result == (pn.height(poset) <= n - 1)
-
-
 def test_validates_bd_matches_the_chain_search():
     # the definition: no up-reduction onto the chain on n + 1 elements
-    frames = sample_posets(40, 6, seed=85) + sample_posets(40, 6, seed=87, rooted=True)
+    frames = sample_posets(25, 7, seed=83) + sample_posets(40, 6, seed=85)
+    frames += sample_posets(40, 6, seed=87, rooted=True)
     for poset in frames + [validate_poset([], [])]:
         for n in range(0, 7):
             chain = pn.starlike_tree(Signature(((n, 1),) if n else ()))
