@@ -11,10 +11,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import lcm, prod
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
+from ._support import cached_property, load_json
 from .errors import (
     AffineDependence,
     BadIntersection,
@@ -45,9 +45,10 @@ RationalPoint = Tuple[Fraction, ...]
 
 class _Point(tuple):
     """A rational point as a tuple of Fractions, made once where it enters the
-    package: it equals and hashes like the plain tuple, but its hash and its
-    integer homogeneous vector are computed once, and every simplex on it
-    shares the object, so set and dict lookups stop early on identity."""
+    package: it equals, orders and hashes like the plain tuple, but its hash
+    and its integer homogeneous vector are computed once, two points compare
+    through their vectors rather than their Fractions, and every simplex on
+    it shares the object, so set and dict lookups stop early on identity."""
 
     def __new__(cls, coords: Iterable[Fraction]) -> "_Point":
         point = tuple.__new__(cls, coords)
@@ -59,6 +60,22 @@ class _Point(tuple):
 
     def __reduce__(self):
         return _Point, (tuple(self),)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is _Point:  # primitive homogeneous vectors are unique
+            return self is other or self._homogeneous == other._homogeneous
+        return tuple.__eq__(self, other)
+
+    def __lt__(self, other) -> bool:
+        """The order of the Fraction tuples: the first coordinates that
+        differ decide, and x/p < y/q iff x q < y p for positive p and q."""
+        if type(other) is not _Point or len(other) != len(self):
+            return tuple.__lt__(self, other)
+        *mine, p = self._homogeneous
+        *theirs, q = other._homogeneous
+        if p == q:
+            return mine < theirs
+        return [x * q for x in mine] < [y * p for y in theirs]
 
     @cached_property
     def _text(self) -> str:
@@ -138,6 +155,20 @@ class Simplex:
         integers. Its rank is the number of vertices exactly when they are
         affinely independent."""
         return tuple(zip(*(v._homogeneous for v in self.vertices)))
+
+    @cached_property
+    def _facet_normals(self) -> Tuple[Tuple[int, ...], ...]:
+        """For a full-dimensional simplex, per vertex, an integer normal of
+        the hyperplane through the other vertices' homogeneous vectors,
+        signed so that the vertex's own vector lies on its positive side."""
+        rows = [v._homogeneous for v in self.vertices]
+        normals = []
+        for i, apex in enumerate(rows):
+            normal = _normal(rows[:i] + rows[i + 1 :])
+            if sum(a * b for a, b in zip(normal, apex)) < 0:
+                normal = [-a for a in normal]
+            normals.append(tuple(normal))
+        return tuple(normals)
 
     @cached_property
     def _hash(self) -> int:
@@ -290,7 +321,7 @@ class RationalComplex:
 
     @classmethod
     def from_json(cls, text: str) -> "RationalComplex":
-        payload = json.loads(text)
+        payload = load_json(text, "complex")
         try:
             if type(payload["dim"]) is not int:
                 raise MalformedInput("dim must be an integer")
@@ -308,10 +339,57 @@ class RationalComplex:
                 raise MalformedInput("a simplex must be a nonempty list of vertex indices")
             if not all(0 <= i < len(verts) for ix in payload["simplices"] for i in ix):
                 raise MalformedInput("a simplex names a vertex index out of range")
-            tops = [Simplex(tuple(verts[i] for i in ix)) for ix in payload["simplices"]]
         except (KeyError, TypeError, ZeroDivisionError) as exc:
             raise MalformedInput(f"malformed complex JSON: {exc!r}") from exc
-        return validate_complex({face for s in tops for face in s.faces()})
+        return _complex_from_table(verts, payload["simplices"])
+
+
+def _complex_from_table(verts: List[RationalPoint], listed: List[List[int]]) -> RationalComplex:
+    """The complex of the listed simplices, given as indices into the vertex
+    table, and of all their faces, validated as validate_complex would.
+
+    The distinct points are sorted once, and each listed simplex becomes a
+    mask over their ranks; the faces are the submasks, so the family is
+    downward closed by construction. If a listed simplex repeats a point or
+    is affinely dependent, the Simplex constructor reruns on each listed
+    simplex in turn, to raise the first error in list order."""
+    order = sorted(set(verts))
+    rank = {v: r for r, v in enumerate(order)}
+    masks = []
+    for ix in listed:
+        mask = 0
+        for i in ix:
+            mask |= 1 << rank[verts[i]]
+        masks.append(mask)
+    repeats = any(mask.bit_count() != len(ix) for mask, ix in zip(masks, listed))
+    faces = None if repeats else _independent_closure(masks, order)
+    if faces is None:
+        for ix in listed:
+            Simplex(tuple(verts[i] for i in ix))
+        raise RuntimeError("internal error: no listed simplex failed its own check")
+    complex_ = RationalComplex(
+        (Simplex._sorted(tuple(order[r] for r in _bits(mask))) for mask in faces), _trusted=True
+    )
+    _check_pairs(complex_._maximal)
+    return complex_
+
+
+def _independent_closure(masks: List[int], order: Sequence[RationalPoint]) -> Optional[Set[int]]:
+    """Every nonempty submask of the masks over the sorted points, or None
+    when some point set is affinely dependent. Only the masks that no other
+    one contains are checked, largest first and before their submasks are
+    listed: a face of an independent set is independent."""
+    faces: Set[int] = set()
+    for mask in sorted(set(masks), key=int.bit_count, reverse=True):
+        if mask in faces:
+            continue
+        if rank_exact([order[r]._homogeneous for r in _bits(mask)]) != mask.bit_count():
+            return None
+        face = mask
+        while face:
+            faces.add(face)
+            face = (face - 1) & mask
+    return faces
 
 
 def _is_coordinate(pair) -> bool:
@@ -361,17 +439,16 @@ def _facet_separates(s: Simplex, t: Simplex, shared: FrozenSet[RationalPoint]) -
     beyond one of them: at each step no vertex left lies on the side of s,
     some lie beyond, and those drop out. A common point has weight 0 on the
     vertices dropped at each step, in turn, so it lies in the shared face.
-    Sides are signs of a facet's integer normal against the homogeneous
-    vectors, whose last entries are positive."""
+    Sides are signs of a facet's oriented integer normal against the
+    homogeneous vectors, whose last entries are positive."""
     if len(s.vertices) != s.ambient_dim + 1:
         return False
     others = [v._homogeneous for v in t.vertices if v not in shared]
-    sides = []  # per facet through the shared vertices: < 0 beyond it, 0 on it
-    for apex in s.vertices:
-        if apex not in shared:
-            normal = _normal([v._homogeneous for v in s.vertices if v is not apex])
-            toward = sum(a * b for a, b in zip(normal, apex._homogeneous))
-            sides.append([sum(a * b for a, b in zip(normal, x)) * toward for x in others])
+    sides = [  # per facet through the shared vertices: < 0 beyond it, 0 on it
+        [sum(a * b for a, b in zip(normal, x)) for x in others]
+        for apex, normal in zip(s.vertices, s._facet_normals)
+        if apex not in shared
+    ]
     left = range(len(others))
     while left:
         for side in sides:
@@ -391,10 +468,14 @@ def _check_complex(complex_: RationalComplex) -> None:
                     f"face {Simplex(tuple(facet)).label()} of {s.label()} is missing"
                 )
     # Every facet present means downward closed, by induction on dimension.
-    # Then maximal pairs suffice: faces S' of S and T' of T meet inside S ∩ T,
-    # which is the common face on the shared vertices, and inside that face
-    # S' and T' meet in the face on their own shared vertices.
-    tops = complex_._maximal
+    _check_pairs(complex_._maximal)
+
+
+def _check_pairs(tops: Sequence[Simplex]) -> None:
+    """In a downward-closed family, pairs of maximal simplices suffice:
+    faces S' of S and T' of T meet inside S ∩ T, which is the common face on
+    the shared vertices, and inside that face S' and T' meet in the face on
+    their own shared vertices."""
     for i, s in enumerate(tops):
         for t in tops[i + 1 :]:
             if not _intersection_is_common_face(s, t):
@@ -451,7 +532,11 @@ def elementary_stellar(complex_: RationalComplex, point: Sequence) -> RationalCo
     exactly when the point is a vertex. A face missing the point misses its
     affine span too, as aff(face) ∩ s = face, so each cone is a simplex."""
     point = rational_point(point)
-    centre = frozenset(_locate(point, complex_._maximal)[0])
+    return _stellar(complex_, point, frozenset(_locate(point, complex_._maximal)[0]))
+
+
+def _stellar(complex_: RationalComplex, point: RationalPoint, centre: FrozenSet[RationalPoint]) -> RationalComplex:
+    """elementary_stellar at a point whose carrier's vertex set is known."""
     new_simplices: Set[Simplex] = {Simplex._trusted((point,))}
     for s in complex_.simplices:
         if not centre <= s.vertex_set:
@@ -466,7 +551,7 @@ def elementary_stellar(complex_: RationalComplex, point: Sequence) -> RationalCo
 def elementary_barycentric(complex_: RationalComplex, simplex: Simplex) -> RationalComplex:
     if simplex not in complex_.simplices:
         raise UnknownElement("can only subdivide at a barycentre of a member simplex")
-    return elementary_stellar(complex_, simplex.barycentre())
+    return _stellar(complex_, simplex.barycentre(), simplex.vertex_set)  # interior to the simplex
 
 
 def barycentric_subdivision(complex_: RationalComplex, budget: int = SIZE_BUDGET) -> RationalComplex:
@@ -534,7 +619,7 @@ def farey_mediant(simplex: Simplex) -> RationalPoint:
 def elementary_farey(complex_: RationalComplex, simplex: Simplex) -> RationalComplex:
     if simplex not in complex_.simplices:
         raise UnknownElement("can only take the mediant of a member simplex")
-    return elementary_stellar(complex_, farey_mediant(simplex))
+    return _stellar(complex_, farey_mediant(simplex), simplex.vertex_set)
 
 
 # -- refinement --------------------------------------------------------------------
@@ -543,9 +628,10 @@ def elementary_farey(complex_: RationalComplex, simplex: Simplex) -> RationalCom
 def is_refinement(finer: RationalComplex, coarser: RationalComplex) -> bool:
     """Whether ``finer`` subdivides ``coarser``: same support, every fine
     simplex inside some coarse one. The support equality is checked per
-    coarse simplex by exact volume bookkeeping of the pieces it contains:
-    their relative interiors are disjoint, so the k-dimensional pieces in a
-    k-simplex cover it exactly when their chart volumes sum to 1.
+    maximal coarse simplex by exact volume bookkeeping of the pieces it
+    contains: their relative interiors are disjoint, so the k-dimensional
+    pieces in a k-simplex cover it exactly when their chart volumes sum to
+    1, and then the faces of those pieces cover its faces.
 
     Each fine vertex is located once, for its carrier and its coordinates
     there. Carriers are unique and the coarse side is downward closed, so a
@@ -561,12 +647,13 @@ def is_refinement(finer: RationalComplex, coarser: RationalComplex) -> bool:
         chart = {v: _locate(v, coarser._maximal) for v in finer.vertices}
     except PointOutsideSupport:
         return False
-    volume = {s.vertex_set: Fraction(0) for s in coarser.simplices}  # per host
+    hosts = coarser._index
+    volume = {s.vertex_set: Fraction(0) for s in coarser._maximal}
     for piece in finer.simplices:
         union = frozenset().union(*(chart[v][0] for v in piece.vertices))
-        if union not in volume:
+        if union not in hosts:
             return False
-        if len(union) == len(piece.vertices):
+        if len(union) == len(piece.vertices) and union in volume:
             rows = [[chart[v][0].get(w, 0) for w in union] for v in piece.vertices]
             scale = prod(chart[v][1] for v in piece.vertices)
             volume[union] += Fraction(abs(_integer_determinant(rows)), scale)

@@ -8,6 +8,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional
 
+from ._support import load_json
 from .errors import (
     DomainNotUpClosed,
     MalformedInput,
@@ -58,7 +59,7 @@ class PMorphism:
 
     @classmethod
     def from_json(cls, text: str, source: FinitePoset, target: FinitePoset) -> "PMorphism":
-        payload = json.loads(text)
+        payload = load_json(text, "p-morphism")
         if not isinstance(payload, dict) or not {"domain", "map"} <= payload.keys():
             raise MalformedInput("p-morphism JSON must be an object with 'domain' and 'map'")
         domain, mapping = payload["domain"], payload["map"]

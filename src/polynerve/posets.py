@@ -10,9 +10,9 @@ immutable after construction and safe to share between concurrent tasks.
 from __future__ import annotations
 
 import json
-from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ._support import cached_property, load_json
 from .errors import (
     CycleDetected,
     DuplicateLabel,
@@ -358,7 +358,7 @@ class FinitePoset:
 
     @classmethod
     def from_json(cls, text: str) -> "FinitePoset":
-        payload = json.loads(text)
+        payload = load_json(text, "poset")
         if not isinstance(payload, dict) or not {"elements", "edges"} <= payload.keys():
             raise MalformedInput("poset JSON must be an object with 'elements' and 'edges'")
         elements, edges = payload["elements"], payload["edges"]

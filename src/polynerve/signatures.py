@@ -8,9 +8,9 @@ heights and posets by the heights of their connected components.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Tuple
 
+from ._support import cached_property
 from .errors import IndexOutOfRange, MalformedInput
 
 

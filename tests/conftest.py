@@ -6,7 +6,8 @@ kept as differential oracles (exhaustive_width, backtracking_isomorphism,
 refine_isomorphism, stellar_subdivision, all_pairs_check_complex,
 lp_intersection_is_common_face, bounding_boxes_apart, scan_carrier,
 scan_open_star, pairwise_open_implies, per_face_stellar,
-volume_refinement_oracle, former_sorted_simplices, former_homogeneous,
+volume_refinement_oracle, former_is_refinement, former_from_json,
+former_sorted_simplices, former_homogeneous,
 fraction_lp_maximize, fraction_solve_exact, fraction_rank_exact,
 fraction_determinant, naive_counter_valuation, staged_counter_valuation,
 completion_diamond_connected, completion_nerve_connected,
@@ -23,6 +24,7 @@ determinant are the Fraction front ends of exactla's integer solver and
 integer determinant, which only tests use."""
 from __future__ import annotations
 
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -40,10 +42,12 @@ from polynerve import (
     elementary_stellar,
     is_alpha_connected,
     rational_point,
+    validate_complex,
     validate_poset,
 )
 from polynerve.errors import (
     BadIntersection,
+    MalformedInput,
     NotDownwardClosed,
     ParseError,
     PointOutsideSupport,
@@ -626,6 +630,57 @@ def volume_refinement_oracle(finer, coarser) -> bool:
         except PointOutsideSupport:
             return False
     return True
+
+
+def former_is_refinement(finer, coarser) -> bool:
+    """The package's former is_refinement: one point location per fine
+    vertex, the carrier-union test against every coarse simplex, and a chart
+    volume sum of 1 demanded of every coarse simplex, maximal or not."""
+    if finer.ambient_dim != coarser.ambient_dim:
+        return False
+    try:
+        chart = {v: geometry._locate(v, coarser._maximal) for v in finer.vertices}
+    except PointOutsideSupport:
+        return False
+    volume = {s.vertex_set: Fraction(0) for s in coarser.simplices}
+    for piece in finer.simplices:
+        union = frozenset().union(*(chart[v][0] for v in piece.vertices))
+        if union not in volume:
+            return False
+        if len(union) == len(piece.vertices):
+            rows = [[chart[v][0].get(w, 0) for w in union] for v in piece.vertices]
+            scale = prod(chart[v][1] for v in piece.vertices)
+            volume[union] += Fraction(abs(_integer_determinant(rows)), scale)
+    return all(total == 1 for total in volume.values())
+
+
+def former_from_json(text):
+    """The package's former RationalComplex.from_json: the payload checks,
+    then one Simplex per listed simplex in list order, each sorting its own
+    points and checking its own rank, then validate_complex on every face
+    of every listed simplex."""
+    payload = json.loads(text)
+    try:
+        if type(payload["dim"]) is not int:
+            raise MalformedInput("dim must be an integer")
+        if payload["dim"] < 0:
+            raise MalformedInput("dim must be nonnegative")
+        if payload["dim"] and not payload["vertices"]:
+            raise MalformedInput("a complex with no vertices must have dim 0")
+        if not all(type(c) is list and len(c) == 2 and all(type(x) is int for x in c) for v in payload["vertices"] for c in v):
+            raise MalformedInput("a coordinate must be a pair of integers [numerator, denominator]")
+        verts = [rational_point(Fraction(num, den) for num, den in v) for v in payload["vertices"]]
+        for v in verts:
+            if len(v) != payload["dim"]:
+                raise MalformedInput("vertex dimension disagrees with the declared dim")
+        if not all(ix and all(type(i) is int for i in ix) for ix in payload["simplices"]):
+            raise MalformedInput("a simplex must be a nonempty list of vertex indices")
+        if not all(0 <= i < len(verts) for ix in payload["simplices"] for i in ix):
+            raise MalformedInput("a simplex names a vertex index out of range")
+        tops = [Simplex(tuple(verts[i] for i in ix)) for ix in payload["simplices"]]
+    except (KeyError, TypeError, ZeroDivisionError) as exc:
+        raise MalformedInput(f"malformed complex JSON: {exc!r}") from exc
+    return validate_complex({face for s in tops for face in s.faces()})
 
 
 def solve_exact(matrix, rhs):

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -179,10 +182,12 @@ def test_subdivide_budget_exits_2(capsys, tmp_path):
         json.dumps({"dim": 1, "vertices": [[[0, 1, 1]], [[1, 1]]], "simplices": [[0, 1]]}),
         json.dumps({"dim": -1, "vertices": [], "simplices": []}),
         json.dumps({"dim": 3, "vertices": [], "simplices": []}),
+        "not json",
+        "[" * 200_000,
     ],
     ids=["empty-object", "list", "zero-denominator", "index-out-of-range", "empty-simplex",
          "boolean-index", "boolean-coordinate", "boolean-dim", "coordinate-triple",
-         "negative-dim", "empty-with-dim"],
+         "negative-dim", "empty-with-dim", "not-json", "nested-too-deep"],
 )
 def test_malformed_complex_exits_2(capsys, tmp_path, text):
     path = tmp_path / "K.json"
@@ -319,6 +324,18 @@ def test_bad_input_exits_2(capsys, tmp_path):
     bad.write_text("{not json")
     code, _, err = run(capsys, ["validate", "-i", str(bad)])
     assert code == 2 and err
+
+
+def test_deeply_nested_input_exits_2_without_a_traceback(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-m", "polynerve.cli", "validate", "-i", str(deep)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == "polynerve: error: poset JSON nests more than 500 levels deep\n"
 
 
 def test_output_file(capsys, tmp_path, theta_file):

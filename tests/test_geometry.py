@@ -1,4 +1,5 @@
 import hashlib
+import json
 import operator
 import pickle
 import random
@@ -29,7 +30,9 @@ import conftest
 from conftest import (
     all_pairs_check_complex,
     brute_chains,
+    former_from_json,
     former_homogeneous,
+    former_is_refinement,
     former_sorted_simplices,
     fraction_lp_maximize,
     lp_intersection_is_common_face,
@@ -165,6 +168,70 @@ def test_validation_matches_all_pairs_oracle():
         assert outcome == _check_outcome(all_pairs_check_complex, frozenset(family))
         seen[outcome] += 1
     assert seen[None] and seen[BadIntersection] and seen[NotDownwardClosed]
+
+
+def _table_payload(rng):
+    """(kind, complex JSON): a seeded vertex table in Q^1-Q^3, coordinates in
+    {-3, ..., 3} / {1, 2, 3}, and 1-4 listed simplices on it, of which most
+    pairs overlap. The kind says what was done to it: nothing; every face
+    listed too, shuffled; an index repeated within a simplex; a table row
+    repeated, scaled, and used next to or in place of the original; a
+    dependent set listed first and again with one more point, last; or one
+    vertex given a coordinate too many."""
+    ambient = rng.randint(1, 3)
+    table = [
+        [[rng.randint(-3, 3), rng.randint(1, 3)] for _ in range(ambient)] for _ in range(rng.randint(ambient + 2, ambient + 4))
+    ]
+    listed = [rng.sample(range(len(table)), rng.randint(1, ambient + 1)) for _ in range(rng.randint(1, 4))]
+    kind = rng.choice(("drawn", "faces", "repeat", "duplicate", "dependent", "dims"))
+    if kind == "faces":
+        listed = [[i for k, i in enumerate(ix) if mask >> k & 1] for ix in listed for mask in range(1, 1 << len(ix))]
+        rng.shuffle(listed)
+    elif kind == "repeat":
+        ix = rng.choice(listed)
+        ix.insert(rng.randrange(len(ix) + 1), rng.choice(ix))
+    elif kind == "duplicate":
+        ix = rng.choice(listed)
+        k = rng.randrange(len(ix))
+        table.append([[2 * num, 2 * den] for num, den in table[ix[k]]])
+        if rng.random() < 0.5:
+            ix[k] = len(table) - 1
+        else:
+            ix.append(len(table) - 1)
+    elif kind == "dependent":
+        a, b, c = rng.sample(range(len(table)), 3)
+        middle = [Fr(x, p) + Fr(y, q) for (x, p), (y, q) in zip(table[a], table[b])]
+        table.append([[m.numerator, 2 * m.denominator] for m in middle])
+        listed = [[a, len(table) - 1, b]] + listed + [[c, a, b, len(table) - 1]]
+    elif kind == "dims":
+        table[rng.randrange(len(table))].append([1, 1])
+    return kind, json.dumps({"dim": ambient, "vertices": table, "simplices": listed})
+
+
+def _read_outcome(read, text):
+    try:
+        return read(text)
+    except PolynerveError as exc:
+        return type(exc), str(exc)
+
+
+def test_from_json_matches_the_former_path():
+    # the vertex table read once against a Simplex per listed simplex and
+    # validate_complex: the same complex, or the same first error, class and
+    # message, with the same bytes back out
+    rng = random.Random(181)
+    seen = Counter()
+    for _ in range(600):
+        kind, text = _table_payload(rng)
+        outcome = _read_outcome(RationalComplex.from_json, text)
+        assert outcome == _read_outcome(former_from_json, text), text
+        if isinstance(outcome, RationalComplex):
+            assert outcome.to_json() == former_from_json(text).to_json()
+            assert outcome.sorted_simplices == former_from_json(text).sorted_simplices
+        seen[kind, outcome[0] if isinstance(outcome, tuple) else None] += 1
+    assert all(seen[kind, AffineDependence] > 5 for kind in ("repeat", "dependent"))
+    assert seen["dims", MalformedInput] > 50
+    assert all(seen[kind, None] > 5 and seen[kind, BadIntersection] > 5 for kind in ("drawn", "faces", "duplicate"))
 
 
 def test_face_poset_and_maximal_simplices_follow_the_face_relation(triangle, tetrahedron):
@@ -748,6 +815,64 @@ def test_refinement_matches_volume_oracle(triangle):
     assert seen[True] > 200 and seen[False] > 600
 
 
+def _shifted(rng, complex_, keep):
+    """The complex with one vertex not in ``keep`` moved a little, when that
+    is still a complex; else None."""
+    movable = [v for v in complex_.vertices if v not in keep]
+    if not movable:
+        return None
+    old = rng.choice(movable)
+    new = tuple(c + Fr(rng.randint(-1, 1), rng.randint(2, 4)) for c in old)
+    try:
+        return pn.validate_complex({Simplex(tuple(new if v == old else v for v in s.vertices)) for s in complex_.simplices})
+    except (AffineDependence, BadIntersection):
+        return None
+
+
+def _non_pure_refinement_cases(rng, count):
+    """(finer, coarser) pairs on a triangle with a dangling edge: the
+    complex through 0-3 moves, then short of one maximal simplex, with a
+    vertex off the coarse vertices moved, and with an edge out of the
+    support added, each near miss kept when it is still a complex."""
+    made = 0
+    while made < count:
+        tri = _random_simplex(rng, 2, 2)
+        far = pt(rng.randint(-9, 9), rng.choice((-9, 9)))
+        try:
+            coarse = pn.validate_complex(set(tri.faces()) | set(Simplex((rng.choice(tri.vertices), far)).faces()))
+        except BadIntersection:
+            continue
+        made += 1
+        fine = coarse
+        for _ in range(rng.randint(0, 3)):
+            move = rng.choice(("barycentric", "farey", "stellar"))
+            fine = pn.elementary_stellar(fine, _point_of(rng, rng.choice(fine.sorted_simplices), move))
+        yield fine, coarse
+        yield RationalComplex(fine.simplices - {rng.choice(fine.maximal_simplices())}, _trusted=True), coarse
+        shifted = _shifted(rng, fine, coarse.vertices)
+        if shifted is not None:
+            yield shifted, coarse
+        try:
+            leaving = Simplex((rng.choice(fine.vertices), pt(rng.randint(-9, 9), rng.choice((-12, 12)))))
+            yield pn.validate_complex(fine.simplices | set(leaving.faces())), coarse
+        except BadIntersection:
+            pass
+
+
+def test_refinement_matches_the_former_all_simplices_sums():
+    # volume sums on maximal coarse simplices only against sums on every
+    # coarse simplex, on pure and non-pure coarse sides and near misses
+    rng = random.Random(197)
+    cases = list(_refinement_cases(rng, 80)) + list(_non_pure_refinement_cases(rng, 120))
+    seen = Counter()
+    for finer, coarser in cases:
+        for a, b in ((finer, coarser), (coarser, finer)):
+            answer = pn.is_refinement(a, b)
+            assert answer == former_is_refinement(a, b)
+            seen[len(b.maximal_simplices()) > 1, answer] += 1
+    assert min(seen.values()) > 40 and len(seen) == 4
+
+
 # -- realization ---------------------------------------------------------------------------------------
 
 
@@ -924,6 +1049,28 @@ def test_points_behave_as_plain_tuples():
         seen[complex_.ambient_dim] += 1
         seen["simplices"] += len(complex_)
     assert all(seen[d] > 10 for d in (1, 2, 3)) and seen["simplices"] > 2000
+
+
+def test_point_order_and_equality_follow_the_fraction_tuples():
+    # order, equality and hash on the cached integer vectors against the
+    # plain tuples of Fractions: coordinates of both signs and mixed
+    # denominators, equal values as distinct objects, lengths 0-3 mixed
+    rng = random.Random(199)
+    plain = [tuple(Fr(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(rng.randint(0, 3))) for _ in range(400)]
+    plain += [tuple(Fr(c.numerator * 3, c.denominator * 3) for c in p) for p in plain[:80]]
+    points = [pn.rational_point(p) for p in plain]
+    assert [tuple(p) for p in sorted(points)] == sorted(plain)
+    seen = Counter()
+    for _ in range(6000):
+        i, j = rng.randrange(len(points)), rng.randrange(len(points))
+        a, b, x, y = points[i], points[j], plain[i], plain[j]
+        assert (a == b) == (a == y) == (x == b) == (x == y)
+        assert (a != b) == (x != y)
+        assert (a < b) == (a < y) == (x < b) == (x < y)
+        if a == b:
+            assert hash(a) == hash(b) == hash(x)
+        seen[len(a) == len(b), a == b, a < b] += 1
+    assert seen[True, True, False] > 30 and seen[True, False, True] > 400 and seen[False, False, True] > 1000
 
 
 # complex_to_json digests recorded before points cached their hash, order and

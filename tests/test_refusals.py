@@ -5,6 +5,7 @@ which stays a ValueError, and an out-of-range signature index stays an
 IndexError, so callers that catch the builtins keep working. The one
 builtin left is the LP's internal error."""
 import argparse
+import json
 import random
 from fractions import Fraction as Fr
 
@@ -32,6 +33,7 @@ from conftest import make_chain
 S = Signature.parse
 EDGE = pn.validate_complex(pn.Simplex([(Fr(0),), (Fr(1),)]).faces())
 FAR = pn.Simplex([(Fr(5),)])
+DEEP = "[" * 200_000
 
 
 def _chain_map(mapping):
@@ -100,6 +102,33 @@ REFUSALS = {
     "signature index": (lambda: S("2.1").at(3), IndexOutOfRange, r"signature index 3 out of range 1\.\.2"),
     "empty random poset": (lambda: pn.random_poset(0, random.Random(0)), MalformedInput, "poset size must"),
     "BTW at zero": (lambda: pn.named_formula("BTW", 0), MalformedInput, "BTW needs n >= 1"),
+    "poset text not JSON": (
+        lambda: FinitePoset.from_json("not json"), MalformedInput, "poset JSON is malformed: Expecting value"
+    ),
+    "complex text not JSON": (
+        lambda: pn.RationalComplex.from_json("not json"), MalformedInput, "complex JSON is malformed: Expecting value"
+    ),
+    "p-morphism text not JSON": (
+        lambda: PMorphism.from_json("not json", make_chain(1), make_chain(1)),
+        MalformedInput,
+        "p-morphism JSON is malformed: Expecting value",
+    ),
+    "poset JSON too deep": (
+        lambda: FinitePoset.from_json(DEEP), MalformedInput, "poset JSON nests more than 500 levels deep"
+    ),
+    "complex JSON too deep": (
+        lambda: pn.RationalComplex.from_json(DEEP), MalformedInput, "complex JSON nests more than 500 levels deep"
+    ),
+    "p-morphism JSON too deep": (
+        lambda: PMorphism.from_json(DEEP, make_chain(1), make_chain(1)),
+        MalformedInput,
+        "p-morphism JSON nests more than 500 levels deep",
+    ),
+    "integer past the digit limit": (
+        lambda: pn.RationalComplex.from_json('{"dim": ' + "9" * 5000 + "}"),
+        MalformedInput,
+        "complex JSON is malformed: Exceeds the limit",
+    ),
     "unbounded LP": (
         lambda: lp_maximize([[1, -1]], [0], [1, 0]), RuntimeError, "internal error: LP unexpectedly unbounded"
     ),
@@ -115,3 +144,17 @@ def test_each_refusal_names_its_error(call, error, message):
         assert isinstance(info.value, ValueError)
     if error is IndexOutOfRange:
         assert isinstance(info.value, IndexError)
+
+
+def test_nesting_is_counted_outside_strings_and_up_to_the_limit():
+    # brackets inside labels do not nest; 500 levels reach the reader's own
+    # checks and 501 do not; a table of 300 vertices lists over 500 brackets
+    # at depth 4
+    label = "[" * 600 + "{"
+    assert FinitePoset.from_json(json.dumps({"elements": [label], "edges": []})).labels == (label,)
+    with pytest.raises(MalformedInput, match="^poset JSON must be an object"):
+        FinitePoset.from_json("[" * 500 + "]" * 500)
+    with pytest.raises(MalformedInput, match="^poset JSON nests more than 500 levels deep"):
+        FinitePoset.from_json("[" * 501 + "]" * 501)
+    table = json.dumps({"dim": 1, "vertices": [[[i, 1]] for i in range(300)], "simplices": [[0, 1]]})
+    assert len(pn.RationalComplex.from_json(table)) == 3
