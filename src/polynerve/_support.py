@@ -1,5 +1,6 @@
-"""Two helpers every module shares: a cached property without a lock, and the
-one JSON loader of the from_json readers."""
+"""Helpers every module shares: a cached property without a lock, a base
+for immutable value classes, the nesting limit, and the one JSON loader of
+the from_json readers."""
 from __future__ import annotations
 
 import json
@@ -7,7 +8,8 @@ import re
 from itertools import accumulate
 
 from .errors import MalformedInput
-from .formulas import MAX_NESTING
+
+MAX_NESTING = 500  # the deepest nesting the formula parser and load_json accept
 
 
 class cached_property:
@@ -27,6 +29,26 @@ class cached_property:
             return self
         value = instance.__dict__[self.name] = self.compute(instance)
         return value
+
+
+class FrozenInstanceError(AttributeError):
+    """An attempt to assign or delete an attribute of an immutable object:
+    a programming error, not a refusal of input, so no PolynerveError. It
+    has the name and messages of the dataclasses error it replaces."""
+
+
+class Frozen:
+    """A base for immutable value classes: assigning or deleting an attribute
+    raises FrozenInstanceError. Constructors write their fields through
+    object.__setattr__ or the instance dict, as cached_property does."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 _STRING = re.compile(r'"(?:[^"\\]|\\.)*"')

@@ -10,7 +10,6 @@ of returning unverified output.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .errors import (
@@ -41,11 +40,25 @@ __all__ = [
 ]
 
 
-@dataclass
 class ConstructionResult:
-    output: FinitePoset
-    witness: PMorphism  # output -> input, total and surjective
-    trace: List[dict] = field(default_factory=list)
+    """A construction's output, its witness output -> input (total and
+    surjective) and the trace of its steps; equal to another result with
+    equal fields, and unhashable."""
+
+    def __init__(self, output: FinitePoset, witness: PMorphism, trace: Optional[List[dict]] = None):
+        self.output = output
+        self.witness = witness
+        self.trace = [] if trace is None else trace
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.output, self.witness, self.trace) == (other.output, other.witness, other.trace)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(output={self.output!r}, witness={self.witness!r}, trace={self.trace!r})"
 
     def trace_json(self) -> str:
         return json.dumps(self.trace, sort_keys=True)

@@ -17,28 +17,30 @@ it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from functools import lru_cache
 from typing import Tuple
 
+from ._support import MAX_NESTING, Frozen
 from .errors import MalformedInput, MissingParameter, ParseError, UnknownName
 
 
-class Formula:
+class Formula(Frozen):
     """An immutable formula node, equal to another by value. A node caches
     its hash when it is built, from the cached hashes of its children, and
-    equality and `variables()` walk the trees with explicit stacks, so none
-    of them recurses however deep the formula is. The nodes are frozen
-    dataclasses whose constructors write their fields and hash straight
-    into the instance dict."""
+    equality, `variables()` and `repr()` walk the trees with explicit
+    stacks, so none of them recurses however deep the formula is. A node's
+    constructor writes its fields, named in `_fields`, and its hash straight
+    into the instance dict; the node is Frozen after that."""
 
     __slots__ = ()
+    _fields: Tuple[str, ...] = ()
 
     def __hash__(self) -> int:
         return self._hash
 
     def __reduce__(self):
         # rebuilt through __init__, so the hash is recomputed in the new process
-        return type(self), tuple(getattr(self, name) for name in self.__dataclass_fields__)
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Formula):
@@ -56,6 +58,25 @@ class Formula:
                 return False
         return True
 
+    def __repr__(self) -> str:
+        """``Kind(field=value, ...)`` with each field's repr, a subformula
+        written the same way, from a stack of pending pieces: strings to
+        write and nodes to expand."""
+        out = []
+        stack = [self]
+        while stack:
+            item = stack.pop()
+            if type(item) is str:
+                out.append(item)
+                continue
+            pieces = [type(item).__qualname__ + "("]
+            for i, name in enumerate(item._fields):
+                value = getattr(item, name)
+                pieces.append(f", {name}=" if i else f"{name}=")
+                pieces.append(value if isinstance(value, Formula) else repr(value))
+            stack += [")", *reversed(pieces)]
+        return "".join(out)
+
     def variables(self) -> Tuple[str, ...]:
         seen = set()
         stack = [self]
@@ -71,9 +92,8 @@ class Formula:
         return print_formula(self)
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Var(Formula):
-    name: str
+    _fields = ("name",)
 
     def __init__(self, name: str):
         fields = self.__dict__
@@ -81,9 +101,8 @@ class Var(Formula):
         fields["_hash"] = hash((Var, name))
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Const(Formula):
-    value: bool
+    _fields = ("value",)
 
     def __init__(self, value: bool):
         fields = self.__dict__
@@ -91,10 +110,8 @@ class Const(Formula):
         fields["_hash"] = hash((Const, value))
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class _Connective(Formula):
-    left: Formula
-    right: Formula
+    _fields = ("left", "right")
 
     def __init__(self, left: Formula, right: Formula):
         fields = self.__dict__
@@ -103,17 +120,14 @@ class _Connective(Formula):
         fields["_hash"] = hash((type(self), left, right))
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class And(_Connective):
     pass
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Or(_Connective):
     pass
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Imp(_Connective):
     pass
 
@@ -125,8 +139,6 @@ FALSE = Const(False)
 def Neg(phi: Formula) -> Formula:
     return Imp(phi, FALSE)
 
-
-MAX_NESTING = 500
 
 _TOKEN = re.compile(r"\s*(->|[&|~()]|T|F|[a-z][a-z0-9]*)")
 
@@ -150,9 +162,21 @@ _INFIX = {"->": (1, Imp), "|": (2, Or), "&": (3, And)}  # precedence levels
 
 
 def parse_formula(text: str) -> Formula:
+    """The formula the text denotes. Each text is parsed once per nesting
+    limit: the formula is kept, as `re` keeps compiled patterns, and the
+    same object is returned to later calls; refusals are not kept."""
+    return _parsed(text, MAX_NESTING)
+
+
+_PARSED_KEPT = 512  # texts whose formulas are kept, the least recently used dropped first
+
+
+@lru_cache(maxsize=_PARSED_KEPT)
+def _parsed(text: str, limit: int) -> Formula:
     """One operator-precedence loop over a stack of pending "(" and "~"
     entries and (level, connective, left operand) entries. The nesting
-    depth is the number of "(", "~" and "->" entries on the stack."""
+    depth is the number of "(", "~" and "->" entries on the stack, and at
+    most `limit`."""
     tokens = _tokenize(text)
     stack: list = []
     depth = index = 0
@@ -163,7 +187,7 @@ def parse_formula(text: str) -> Formula:
         raise ParseError(message, at)
 
     while True:
-        if depth > MAX_NESTING:
+        if depth > limit:
             fail("formula is nested too deeply")
         tok = tokens[index][0] if index < len(tokens) else None
         if node is None:

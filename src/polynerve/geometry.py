@@ -9,12 +9,11 @@ anywhere.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ._support import cached_property, load_json
+from ._support import Frozen, cached_property, load_json
 from .errors import (
     AffineDependence,
     BadIntersection,
@@ -101,15 +100,14 @@ def _format_point(point: RationalPoint) -> str:
     return ",".join(_format_coord(c) for c in point)
 
 
-@dataclass(frozen=True)
-class Simplex:
+class Simplex(Frozen):
     """The convex hull of affinely independent rational vertices, identified
     with its (canonically sorted) vertex tuple."""
 
     vertices: Tuple[RationalPoint, ...]
 
-    def __post_init__(self):
-        raw = tuple(rational_point(v) for v in self.vertices)
+    def __init__(self, vertices: Iterable[Sequence]):
+        raw = tuple(rational_point(v) for v in vertices)
         verts = tuple(sorted(set(raw)))
         if not verts:
             raise MalformedInput("a simplex needs at least one vertex")
@@ -172,10 +170,18 @@ class Simplex:
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.vertices,))  # the dataclass value: set orders stay as they were
+        return hash((self.vertices,))  # the former dataclass value: set orders stay as they were
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.vertices == other.vertices
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(vertices={self.vertices!r})"
 
     def label(self) -> str:
         return "<" + ";".join(v._text for v in self.vertices) + ">"
@@ -685,12 +691,12 @@ def geometric_realization(poset: FinitePoset, budget: int = SIZE_BUDGET) -> Rati
 # -- upsets as open sets ---------------------------------------------------------------
 
 
-@dataclass(frozen=True, init=False)
-class OpenPolyhedralSet:
+class OpenPolyhedralSet(Frozen):
     """An open set of the support presented symbolically: the union of the
     relative interiors of an up-closed family of simplices, held as a mask
     over the face poset. The Heyting operations are those of its upset
-    algebra; combining open sets of different complexes is refused."""
+    algebra; combining open sets of different complexes is refused.
+    Immutable; equal to an open set of an equal complex with the same mask."""
 
     complex: RationalComplex
     _mask: int
@@ -704,6 +710,17 @@ class OpenPolyhedralSet:
             mask |= 1 << i
         object.__setattr__(self, "complex", complex)
         object.__setattr__(self, "_mask", mask)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.complex, self._mask) == (other.complex, other._mask)
+
+    def __hash__(self) -> int:
+        return hash((self.complex, self._mask))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(complex={self.complex!r}, _mask={self._mask!r})"
 
     @property
     def members(self) -> FrozenSet[Simplex]:

@@ -5,10 +5,9 @@ targets), poset isomorphism, monotone surjections.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional
 
-from ._support import load_json
+from ._support import Frozen, load_json
 from .errors import (
     DomainNotUpClosed,
     MalformedInput,
@@ -24,25 +23,42 @@ from .starlike import alpha_blocks, starlike_tree
 SEARCH_BUDGET = 10**7
 
 
-@dataclass(frozen=True, eq=True)
-class PMorphism:
+class PMorphism(Frozen):
     """A declared map between posets: total on ``domain``, which is expected
     to be an up-closed subset of the source. Whether the map actually
     satisfies the forth/back conditions is checked by :func:`is_p_morphism`,
-    not at construction."""
+    not at construction. Immutable; equal to another p-morphism with the
+    same four fields, and hashed on all but the mapping."""
 
     source: FinitePoset
     target: FinitePoset
     domain: FrozenSet[str]
-    mapping: Dict[str, str] = field(hash=False)
+    mapping: Dict[str, str]
 
-    def __post_init__(self):
+    def __init__(self, source: FinitePoset, target: FinitePoset, domain: FrozenSet[str], mapping: Dict[str, str]):
+        self.__dict__.update(source=source, target=target, domain=domain, mapping=mapping)
         for lab in self.domain:
             self.source.index(lab)
         if set(self.mapping) != set(self.domain):
             raise UnknownElement("mapping must be defined exactly on the domain")
         for value in self.mapping.values():
             self.target.index(value)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.source, self.target, self.domain, self.mapping) == (
+            other.source, other.target, other.domain, other.mapping
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.source, self.target, self.domain))
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(source={self.source!r}, target={self.target!r}, "
+            f"domain={self.domain!r}, mapping={self.mapping!r})"
+        )
 
     def __call__(self, x: str) -> str:
         return self.mapping[x]

@@ -7,6 +7,8 @@ it to the whole carrier.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import chain
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .errors import ForbiddenSignature, MalformedInput, PreconditionViolated, SizeBudgetExceeded
@@ -48,6 +50,38 @@ def _flatten(phi: Formula, variables: Tuple[str, ...]) -> List[tuple]:
     return nodes
 
 
+_PROGRAMS_KEPT = 256  # formulas whose programs are kept, the least recently used dropped first
+
+
+@lru_cache(maxsize=_PROGRAMS_KEPT)
+def _program(phi: Formula) -> tuple:
+    """phi's evaluation program, built once and shared by every frame and by
+    every formula equal to phi, as (variables, number of nodes, constants,
+    slots, steps, spans, innermost). constants lists each constant as
+    (node, value) and slots the node of each variable. A step is (node,
+    connective, left, right) from `_flatten`, and stage j + 1 holds the
+    steps whose last variable is j, stage 0 those that read none. steps
+    holds every stage in order; spans[j] the stages after j, bounded once
+    outer variable j is bound, stage j + 1 coming out exact; innermost the
+    last stage."""
+    variables = phi.variables()
+    nodes = _flatten(phi, variables)
+    k = len(variables)
+    constants = []
+    slots = [0] * k
+    stages: List[List[tuple]] = [[] for _ in range(k + 1)]
+    for position, (kind, level, left, right) in enumerate(nodes):
+        if kind is Var:
+            slots[level] = position
+        elif kind is Const:
+            constants.append((position, left))
+        else:
+            stages[level + 1].append((position, kind, left, right))
+    steps = tuple(chain.from_iterable(stages))
+    spans = tuple(tuple(chain.from_iterable(stages[j + 1 :])) for j in range(k - 1))
+    return variables, len(nodes), tuple(constants), tuple(slots), steps, spans, tuple(stages[k])
+
+
 def counter_valuation(
     poset: FinitePoset, phi: Formula, budget: int = VALUATION_BUDGET
 ) -> Optional[Dict[str, FrozenSet[str]]]:
@@ -67,11 +101,11 @@ def counter_valuation(
     and the first in product order, each remaining variable empty, is
     returned. Neither cut changes the answer or the counter-valuation.
     The upsets and down-closures come from the poset's own UpsetAlgebra,
-    shared by every call on the poset. The budget on the number of
+    shared by every call on the poset, and the program from `_program`,
+    shared by every call on an equal formula. The budget on the number of
     valuations is checked while the upsets are first listed, which stops as
     soon as there are too many; a formula without variables lists none."""
-    variables = phi.variables()
-    nodes = _flatten(phi, variables)
+    variables, size, constants, slots, steps, spans, innermost = _program(phi)
     k = len(variables)
     algebra = poset._upset_algebra
     if k:
@@ -79,23 +113,13 @@ def counter_valuation(
     elif budget < 1:
         raise SizeBudgetExceeded(f"1 valuation exceeds the budget of {budget}")
     top = algebra.top
-    lo = [0] * len(nodes)  # a bound node's value, and the lower end of an open one
-    hi = [top] * len(nodes)
-    slots = [0] * k  # the node of each variable
-    stages: List[List[tuple]] = [[] for _ in range(k + 1)]  # stage 0: no variable
-    for position, (kind, level, left, right) in enumerate(nodes):
-        if kind is Var:
-            slots[level] = position
-        elif kind is Const:
-            lo[position] = hi[position] = top if left else 0
-        else:
-            stages[level + 1].append((position, kind, left, right))
-    # spans[j]: the nodes bounded once an outer variable j is bound, those of
-    # stage j + 1 coming out exact
-    spans = [sum(stages[j + 1 :], []) for j in range(k - 1)]
+    lo = [0] * size  # a bound node's value, and the lower end of an open one
+    hi = [top] * size
+    for position, value in constants:
+        lo[position] = hi[position] = top if value else 0
     implies = algebra.implies
 
-    def compute(stage: List[tuple]) -> None:
+    def compute(stage: Tuple[tuple, ...]) -> None:
         # used for the innermost stage alone; its values go to lo only, since
         # any bound() that reads these nodes recomputes them first
         for position, kind, left, right in stage:
@@ -106,7 +130,7 @@ def counter_valuation(
             else:
                 lo[position] = implies(lo[left], lo[right])
 
-    def bound(span: List[tuple]) -> None:
+    def bound(span: Tuple[tuple, ...]) -> None:
         for position, kind, left, right in span:
             if kind is And:
                 lo[position], hi[position] = lo[left] & lo[right], hi[left] & hi[right]
@@ -134,12 +158,12 @@ def counter_valuation(
         for each bound outer variable on a stack; once all outer variables
         are bound, the innermost one runs through all upsets."""
         untried: List[Iterator[int]] = []
-        last, stage = slots[-1], stages[k]
+        last = slots[-1]
         while True:
             if len(untried) + 1 == k:
                 for u in elements:
                     lo[last] = u
-                    compute(stage)
+                    compute(innermost)
                     if lo[-1] != top:
                         return True
                 lo[last], hi[last] = 0, top
@@ -162,7 +186,7 @@ def counter_valuation(
             else:
                 return False
 
-    bound(sum(stages, []))
+    bound(steps)
     cut = decided(0)
     if not (cut or (cut is None and refuted())):
         return None

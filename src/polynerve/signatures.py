@@ -7,28 +7,35 @@ heights and posets by the heights of their connected components.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Tuple
 
-from ._support import cached_property
+from ._support import Frozen, cached_property
 from .errors import IndexOutOfRange, MalformedInput
 
 
-@dataclass(frozen=True, order=False)
-class Signature:
+class Signature(Frozen):
     """Multiset of positive branch heights, kept as descending (height,
-    multiplicity) pairs. Normalised on construction."""
+    multiplicity) pairs. Normalised on construction; immutable, equal to
+    another signature with the same entries."""
 
     entries: Tuple[Tuple[int, int], ...]
 
-    def __post_init__(self):
+    def __init__(self, entries: Tuple[Tuple[int, int], ...]):
         counts: dict[int, int] = {}
-        for n, m in self.entries:
+        for n, m in entries:
             if n < 1 or m < 1:
                 raise MalformedInput(f"signature entries must be positive, got {n}^{m}")
             counts[n] = counts.get(n, 0) + m
         normalised = tuple(sorted(counts.items(), reverse=True))
         object.__setattr__(self, "entries", normalised)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash((self.entries,))
 
     # -- constructors -----------------------------------------------------
 

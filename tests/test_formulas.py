@@ -152,6 +152,79 @@ def test_pickled_formula_rehashes_in_a_new_process():
     assert out.strip() == b"True"
 
 
+def test_each_text_is_parsed_once_per_nesting_limit(monkeypatch):
+    texts = ["~p|~~p", "(p->q)|(q->p)", "p&(q|r)", " p ", "T"]
+    for text in texts:
+        phi = parse_formula(text)
+        assert parse_formula(text) is phi
+        assert phi == recursive_parse_formula(text)
+    # a refusal is raised afresh, with the same message and position, each time
+    for text in ["p->", "(p", "p q", "P", "~(p&)"]:
+        refusals = [_parsed(parse_formula, text) for _ in range(3)]
+        assert refusals == [_parsed(recursive_parse_formula, text)] * 3
+        assert isinstance(refusals[0], tuple)
+    too_deep = "(" * 501 + "p" + ")" * 501
+    assert [_parsed(parse_formula, too_deep)[1] for _ in range(3)] == [501] * 3
+    # a text parsed under the limit of 500 is refused once the limit is 3
+    deep = "((((p))))"
+    phi = parse_formula(deep)
+    monkeypatch.setattr(formula_module, "MAX_NESTING", 3)
+    with pytest.raises(ParseError, match="nested too deeply") as info:
+        parse_formula(deep)
+    assert (str(info.value), info.value.position) == _parsed(recursive_parse_formula, deep)
+    assert parse_formula("(((p)))") == Var("p")
+    monkeypatch.undo()
+    assert parse_formula(deep) is phi
+
+
+def test_parse_memo_drops_old_texts_and_keeps_answers():
+    rng = random.Random(97)
+    kept = formula_module._PARSED_KEPT
+    texts = [print_formula(_random_formula(rng, 5)) for _ in range(3 * kept)]
+    assert len(set(texts)) > kept
+    first = {text: parse_formula(text) for text in texts}
+    for text in reversed(texts):  # the oldest texts were dropped and are parsed again
+        assert parse_formula(text) == first[text] == recursive_parse_formula(text)
+    assert formula_module._parsed.cache_info().currsize == kept
+
+
+def test_repr_names_every_field():
+    # the text the former dataclass nodes printed
+    assert repr(Var("p")) == "Var(name='p')"
+    assert repr(FALSE) == "Const(value=False)"
+    assert repr(Neg(Var("p"))) == "Imp(left=Var(name='p'), right=Const(value=False))"
+    assert repr(parse_formula("p0&T|q")) == (
+        "Or(left=And(left=Var(name='p0'), right=Const(value=True)), right=Var(name='q'))"
+    )
+    assert repr(Imp(Var("p"), "q")) == "Imp(left=Var(name='p'), right='q')"
+
+
+DEEP_REPR_SCRIPT = """
+import sys
+from polynerve import parse_formula
+from polynerve.formulas import And, Imp, Var
+
+sys.setrecursionlimit(120)
+var = "Var(name='p')"
+assert repr(parse_formula("p->" * 499 + "p")) == ("Imp(left=" + var + ", right=") * 499 + var + ")" * 499
+phi = Var("p")
+for _ in range(100):
+    phi = Imp(phi, Var("p"))
+assert repr(phi) == "Imp(left=" * 100 + var + (", right=" + var + ")") * 100
+assert repr(parse_formula("&".join(["p"] * 1200))) == "And(left=" * 1199 + var + (", right=" + var + ")") * 1199
+print("ok")
+"""
+
+
+def test_repr_of_deep_formulas_does_not_recurse():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", DEEP_REPR_SCRIPT], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ok\n"
+
+
 def test_negation_resugars():
     assert print_formula(Imp(Var("p"), FALSE)) == "~p"
     assert print_formula(Neg(And(Var("a"), Var("b")))) == "~(a&b)"

@@ -1,13 +1,25 @@
+import pickle
 import random
 
 import pytest
 
 import polynerve as pn
-from polynerve import Signature, parse_formula, validate_poset
+from polynerve import Signature, parse_formula, print_formula, validate_poset
+from polynerve import semantics
 from polynerve.errors import ForbiddenSignature, PreconditionViolated, SizeBudgetExceeded
+from polynerve.formulas import FALSE, TRUE, And, Imp, Neg, Or, Var
 from polynerve.semantics import UpsetAlgebra
 
-from conftest import brute_upsets, make_antichain, make_chain, naive_evaluate, sample_posets
+from conftest import (
+    brute_upsets,
+    make_antichain,
+    make_chain,
+    naive_counter_valuation,
+    naive_evaluate,
+    recursive_parse_formula,
+    sample_posets,
+    staged_counter_valuation,
+)
 
 S = Signature.parse
 
@@ -56,6 +68,52 @@ def test_counter_valuation_is_a_witness():
     algebra = UpsetAlgebra(fork)
     env = {name: fork.mask_of(members) for name, members in witness.items()}
     assert naive_evaluate(kc, env, algebra) != algebra.top
+
+
+def _random_formula(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice([Var("p"), Var("q"), Var("r"), TRUE, FALSE])
+    kind = rng.choice([And, Or, Imp, Neg])
+    if kind is Neg:
+        return Neg(_random_formula(rng, depth - 1))
+    return kind(_random_formula(rng, depth - 1), _random_formula(rng, depth - 1))
+
+
+def test_shared_programs_match_both_oracles():
+    # more distinct formulas than the program cache keeps, each asked on
+    # several frames in an interleaved order, some as an equal formula that
+    # is another object; an evicted program is built again
+    rng = random.Random(101)
+    kept = semantics._PROGRAMS_KEPT
+    distinct = {}
+    while len(distinct) <= kept + 40:
+        phi = _random_formula(rng, 4)
+        distinct.setdefault(phi, phi)
+    formulas = list(distinct)
+    frames = sample_posets(6, 4, seed=101) + sample_posets(6, 4, seed=103, rooted=True)
+    asks = [(i, j) for i in range(len(formulas)) for j in rng.sample(range(len(frames)), 3)]
+    rng.shuffle(asks)
+    for n, (i, j) in enumerate(asks):
+        phi, frame = formulas[i], frames[j]
+        if n % 3 == 1:
+            phi = pickle.loads(pickle.dumps(phi))  # equal, not identical
+        elif n % 3 == 2:
+            phi = recursive_parse_formula(print_formula(phi))
+        assert phi == formulas[i]
+        got = pn.counter_valuation(frame, phi)
+        assert got == staged_counter_valuation(frame, phi), (print_formula(phi), frame)
+        if n % 7 == 0:
+            assert got == naive_counter_valuation(frame, phi), (print_formula(phi), frame)
+    assert semantics._program.cache_info().currsize == kept
+
+
+def test_census_axioms_share_programs_across_frames():
+    texts = ["~p|~~p", "(p->q)|(q->p)", "((~~p->p)->p|~p)->~p|~~p", "p0|(p0->p1)|(p0&p1->p2)"]
+    for frame in sample_posets(30, 5, seed=107, rooted=True):
+        for text in texts:
+            phi = parse_formula(text)
+            assert semantics._program(phi) is semantics._program(recursive_parse_formula(text))
+            assert pn.counter_valuation(frame, phi) == naive_counter_valuation(frame, phi)
 
 
 def test_chains_validate_lc_forks_refute_kc():
