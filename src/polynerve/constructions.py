@@ -370,6 +370,24 @@ def nervify(
         lambdas = _preconditions(poset, lambdas)
 
     n = height(poset)
+    guarded = _sample_ample_signatures(n) if lambdas is None else lambdas
+
+    def failure_of(result: ConstructionResult, profiled, split) -> Optional[ConstructionPostconditionFailed]:
+        """The postcondition a candidate fails, or None if it passes."""
+        try:
+            if lambdas is None:
+                _check_profiles(result, poset, profiled, split)
+            _verify(result, poset, upsets=lambdas or (), diamonds=guarded)
+        except ConstructionPostconditionFailed as exc:
+            return exc
+        return None
+
+    # the input itself is tried before any tree scaffolding is built
+    identity = _identity_result(poset, "already nerve-connected")
+    failure = failure_of(identity, poset.labels, {})
+    if failure is None:
+        return identity
+
     tree, last, lex_fibres, base_trace = _tree_scaffold(poset)
     # the tree without its tops (a top covers nothing)
     base_labels = [lab for lab, depth in zip(tree.labels, tree.depths) if depth]
@@ -548,11 +566,10 @@ def nervify(
     capped = False
 
     def candidates():
-        """Each candidate in turn, with the output labels whose profiles must
-        match the input's and the number of tops each split-rung copy
-        serves."""
+        """Each candidate after the input in turn, with the output labels
+        whose profiles must match the input's and the number of tops each
+        split-rung copy serves."""
         nonlocal rejected, capped
-        yield _identity_result(poset, "already nerve-connected"), poset.labels, {}
         yield build_ladders()
         arrangements = 0
         for order_bits in range(1 << min(len(fibre_names), 7)):
@@ -570,16 +587,10 @@ def nervify(
                 orient = {key: (vector >> bit) & 1 for bit, key in enumerate(keys)}
                 yield build_chevrons(fibres, copies_of, orient)
 
-    guarded = _sample_ample_signatures(n) if lambdas is None else lambdas
-    failure: Optional[Exception] = None
-    for verified, (result, profiled, split) in enumerate(candidates(), start=1):
-        try:
-            if lambdas is None:
-                _check_profiles(result, poset, profiled, split)
-            _verify(result, poset, upsets=lambdas or (), diamonds=guarded)
+    for verified, (result, profiled, split) in enumerate(candidates(), start=2):  # the input was 1
+        failure = failure_of(result, profiled, split)
+        if failure is None:
             return result
-        except ConstructionPostconditionFailed as exc:
-            failure = exc
     raise ConstructionPostconditionFailed(
         f"no nervification candidate passed verification: {verified} verified, "
         f"{rejected} fibre orderings rejected by the rung plan, "

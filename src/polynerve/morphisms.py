@@ -155,7 +155,9 @@ def find_up_reduction(
     Onto a starlike tree (every non-root element has one lower and at most
     one upper cover) the witness is constructed, and ``budget`` is unused.
     The apex is the first whose strict upset has an alpha-partition, alpha
-    the branch heights; it goes to the root, and an element of depth d in the
+    the branch heights, found by asking alpha of each distinct strict-upset
+    type once; the branches and alpha are derived once per target. The apex
+    goes to the root, and an element of depth d in the
     block of a branch of height h goes to the branch element h - min(d, h - 1)
     from the root. Forth holds because depth is antitone; back because a
     longest chain above an element meets every smaller depth. Conversely the
@@ -169,24 +171,13 @@ def find_up_reduction(
         raise TargetNotRooted("up-reduction targets must be rooted")
     if target.n > poset.n:
         return None  # an up-reduction is onto
-    root_idx = target.index(root)
-    down, up = target.covers_down, target.covers_up
-    if any(
-        len(down[j]) != 1 or len(up[j]) > 1 for j in range(target.n) if j != root_idx
-    ):
+    starlike = target._branches
+    if starlike is None:
         return _search_up_reduction(poset, target, budget)
-    branches = []
-    for bottom in up[root_idx]:
-        branch = [bottom]
-        while up[branch[-1]]:
-            branch.append(up[branch[-1]][0])
-        branches.append(branch)
-    branches.sort(key=lambda b: (-len(b), b[0]))
-    want = Signature.from_heights(len(b) for b in branches)
-    for apex in sorted(range(poset.n), key=lambda i: (-poset.heights[i], i)):
-        if want.splits(poset.strict_up_contypes[apex]):
-            break
-    else:
+    branches, want = starlike
+    # the first element by decreasing height, then index, whose type splits
+    apex = next((i for contype, i in poset._strict_up_types.items() if want.splits(contype)), None)
+    if apex is None:
         return None
     blocks = alpha_blocks(poset, poset.strict_up_mask(apex), len(branches))
     mapping = {poset.labels[apex]: root}

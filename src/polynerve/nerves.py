@@ -52,8 +52,10 @@ def nerve(poset: FinitePoset, budget: int = SIZE_BUDGET) -> NervePoset:
             smaller = m ^ (1 << i)
             if smaller:
                 covers[position[smaller]].append(k)
-    nerve_poset = poset_from_cover_dag(labels, covers)
-    return NervePoset(labels, nerve_poset._up, poset, tuple(chains))
+    built = poset_from_cover_dag(labels, covers)
+    nerve_poset = NervePoset(labels, built._up, poset, tuple(chains))
+    nerve_poset.covers_up, nerve_poset.heights = built.covers_up, built.heights
+    return nerve_poset
 
 
 def iterated_nerve(poset: FinitePoset, k: int, budget: int = SIZE_BUDGET) -> FinitePoset:

@@ -265,9 +265,59 @@ class FinitePoset:
     @cached_property
     def strict_up_contypes(self) -> Tuple[Tuple[int, ...], ...]:
         """Connectedness type of the strict upset of each element, indexed by
-        element, as height tuples (see :meth:`contype_of_mask`); an upset
-        holds every chain starting in it, so its heights are the depths."""
-        return tuple(self._contype(self.strict_up_mask(i), self.depths) for i in range(self.n))
+        element, as height tuples (see :meth:`contype_of_mask`), read off the
+        upper covers. The strict upset of i is the union of up(j) over its
+        upper covers j, each connected with j at its bottom, so its
+        components are the groups of covers whose upsets meet, joined
+        transitively; a group's height is its largest depth plus one, since
+        an upset holds every chain starting in it."""
+        up, depths = self._up, self.depths
+        out = []
+        for covers in self.covers_up:
+            groups: List[Tuple[int, int]] = []  # (mask, height) of each component so far
+            for j in covers:
+                mask, top = up[j], depths[j] + 1
+                apart = []
+                for group in groups:
+                    if group[0] & mask:
+                        mask |= group[0]
+                        top = max(top, group[1])
+                    else:
+                        apart.append(group)
+                apart.append((mask, top))
+                groups = apart
+            out.append(tuple(sorted((h for _, h in groups), reverse=True)))
+        return tuple(out)
+
+    @cached_property
+    def _strict_up_types(self) -> Dict[Tuple[int, ...], int]:
+        """Each distinct strict-upset type with the first element of that
+        type by decreasing height, then index, in the order of those
+        elements; built by walking the elements in that order."""
+        contypes, heights = self.strict_up_contypes, self.heights
+        types: Dict[Tuple[int, ...], int] = {}
+        for i in sorted(range(self.n), key=lambda i: (-heights[i], i)):
+            types.setdefault(contypes[i], i)
+        return types
+
+    @cached_property
+    def _branches(self) -> Optional[Tuple[Tuple[Tuple[int, ...], ...], Signature]]:
+        """For a rooted poset whose every other element has one lower and at
+        most one upper cover (a starlike tree): its branches, each from the
+        root's upper cover upwards, by decreasing length and then bottom
+        index, with the signature of their lengths; None for any other."""
+        root = next((i for i in range(self.n) if self._up[i] == self.full_mask), None)
+        down, up = self.covers_down, self.covers_up
+        if root is None or any(len(down[j]) != 1 or len(up[j]) > 1 for j in range(self.n) if j != root):
+            return None
+        branches = []
+        for bottom in up[root]:
+            branch = [bottom]
+            while up[branch[-1]]:
+                branch.append(up[branch[-1]][0])
+            branches.append(tuple(branch))
+        branches.sort(key=lambda b: (-len(b), b[0]))
+        return tuple(branches), Signature.from_heights(len(b) for b in branches)
 
     @cached_property
     def diamond_contypes(self) -> frozenset:
@@ -507,7 +557,10 @@ def _bits(mask: int):
 
 def poset_from_cover_dag(labels: Sequence[str], covers_up: Sequence[Sequence[int]]) -> FinitePoset:
     """Fast trusted construction from an acyclic cover relation given in a
-    topological order (every cover target has a larger index)."""
+    topological order (every cover target has a larger index).
+    ``covers_up[i]`` must list exactly the elements that cover i, in
+    ascending order: the poset keeps those lists as its ``covers_up`` and
+    takes its heights from one pass over them, unchecked."""
     n = len(labels)
     up = [0] * n
     for i in range(n - 1, -1, -1):
@@ -515,7 +568,15 @@ def poset_from_cover_dag(labels: Sequence[str], covers_up: Sequence[Sequence[int
         for j in covers_up[i]:
             mask |= up[j]
         up[i] = mask
-    return FinitePoset(labels, up, _trusted=True)
+    heights = [0] * n
+    for i, covers in enumerate(covers_up):
+        for j in covers:
+            if heights[j] <= heights[i]:
+                heights[j] = heights[i] + 1
+    poset = FinitePoset(labels, up, _trusted=True)
+    poset.covers_up = tuple(map(tuple, covers_up))
+    poset.heights = tuple(heights)
+    return poset
 
 
 # -- the basic operations ------------------------------------------------------------------

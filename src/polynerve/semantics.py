@@ -51,19 +51,64 @@ def _flatten(phi: Formula, variables: Tuple[str, ...]) -> List[tuple]:
 
 
 _PROGRAMS_KEPT = 256  # formulas whose programs are kept, the least recently used dropped first
+_OPERATORS = {And: "&", Or: "|"}
+
+
+def _step_source(kind: type, target: str, left: str, right: str) -> List[str]:
+    """Lines setting `target` to `left` kind `right`. An implication reads
+    the down-closure memo in place and calls `imp`, the algebra's implies,
+    which fills the memo, only on a miss."""
+    if kind is Imp:
+        return [f"d = dget({left} & ~{right})", f"{target} = imp({left}, {right}) if d is None else top & ~d"]
+    return [f"{target} = {left} {_OPERATORS[kind]} {right}"]
+
+
+def _read(steps: List[tuple], inside: set) -> List[int]:
+    """The nodes that `steps` read but do not compute, ascending."""
+    return sorted({child for _, _, left, right in steps for child in (left, right)} - inside)
+
+
+def _span_source(name: str, steps: List[tuple]) -> str:
+    """A kernel (lo, hi, dget, imp, top) that sets the interval [lo, hi] of
+    each step in order, from the ends of its children's intervals that bound
+    it (implication is antitone on the left); nodes of other stages are read
+    once, at the start, and a computed end stays in a local as well."""
+    body = [f"L{c} = lo[{c}]; H{c} = hi[{c}]" for c in _read(steps, {step[0] for step in steps})]
+    for position, kind, left, right in steps:
+        low, high = ("H", "L") if kind is Imp else ("L", "H")
+        body += _step_source(kind, f"lo[{position}] = L{position}", f"{low}{left}", f"L{right}")
+        body += _step_source(kind, f"hi[{position}] = H{position}", f"{high}{left}", f"H{right}")
+    return "\n ".join([f"def {name}(lo, hi, dget, imp, top):", *body, "return None"])
+
+
+def _innermost_source(steps: List[tuple], slot: int, phi: int) -> str:
+    """A kernel (lo, elements, dget, imp, top) that runs the variable in
+    node `slot` through `elements`, computing each step for each; it loads
+    the nodes of outer stages into locals before its loop and returns the
+    first upset at which node `phi` is not top, or None."""
+    body = [f"L{c} = lo[{c}]" for c in _read(steps, {slot, *(step[0] for step in steps)})]
+    body.append(f"for L{slot} in elements:")
+    for position, kind, left, right in steps:
+        body += [" " + line for line in _step_source(kind, f"L{position}", f"L{left}", f"L{right}")]
+    body += [f" if L{phi} != top:", f"  return L{slot}", "return None"]
+    return "\n ".join(["def innermost(lo, elements, dget, imp, top):", *body])
 
 
 @lru_cache(maxsize=_PROGRAMS_KEPT)
 def _program(phi: Formula) -> tuple:
     """phi's evaluation program, built once and shared by every frame and by
     every formula equal to phi, as (variables, number of nodes, constants,
-    slots, steps, spans, innermost). constants lists each constant as
-    (node, value) and slots the node of each variable. A step is (node,
-    connective, left, right) from `_flatten`, and stage j + 1 holds the
-    steps whose last variable is j, stage 0 those that read none. steps
-    holds every stage in order; spans[j] the stages after j, bounded once
-    outer variable j is bound, stage j + 1 coming out exact; innermost the
-    last stage."""
+    slots, spans, innermost). constants lists each constant as (node, value)
+    and slots the node of each variable. A step is (node, connective, left,
+    right) from `_flatten`, and stage j + 1 holds the steps whose last
+    variable is j, stage 0 those that read none. spans[s] is the kernel that
+    bounds stages s.. in order: spans[0] every stage, spans[j + 1] the
+    stages after j, bounded once outer variable j is bound, stage j + 1
+    coming out exact. innermost is the kernel of the last stage, or None
+    for a formula without variables. The kernels are straight-line Python,
+    compiled here from node positions and a fixed set of operators alone, so
+    no name or text from the formula enters their source; they look up no
+    global and take everything they use as arguments."""
     variables = phi.variables()
     nodes = _flatten(phi, variables)
     k = len(variables)
@@ -77,9 +122,14 @@ def _program(phi: Formula) -> tuple:
             constants.append((position, left))
         else:
             stages[level + 1].append((position, kind, left, right))
-    steps = tuple(chain.from_iterable(stages))
-    spans = tuple(tuple(chain.from_iterable(stages[j + 1 :])) for j in range(k - 1))
-    return variables, len(nodes), tuple(constants), tuple(slots), steps, spans, tuple(stages[k])
+    starts = range(max(k, 1))
+    source = [_span_source(f"span{s}", list(chain.from_iterable(stages[s:]))) for s in starts]
+    if k:
+        source.append(_innermost_source(stages[k], slots[-1], len(nodes) - 1))
+    kernels: Dict[str, object] = {}
+    exec("\n".join(source), {"__builtins__": {}}, kernels)
+    spans = tuple(kernels[f"span{s}"] for s in starts)
+    return variables, len(nodes), tuple(constants), tuple(slots), spans, kernels.get("innermost")
 
 
 def counter_valuation(
@@ -101,11 +151,12 @@ def counter_valuation(
     and the first in product order, each remaining variable empty, is
     returned. Neither cut changes the answer or the counter-valuation.
     The upsets and down-closures come from the poset's own UpsetAlgebra,
-    shared by every call on the poset, and the program from `_program`,
-    shared by every call on an equal formula. The budget on the number of
-    valuations is checked while the upsets are first listed, which stops as
-    soon as there are too many; a formula without variables lists none."""
-    variables, size, constants, slots, steps, spans, innermost = _program(phi)
+    shared by every call on the poset, and the stages run as the kernels of
+    `_program`, compiled once and shared by every call on an equal formula.
+    The budget on the number of valuations is checked while the upsets are
+    first listed, which stops as soon as there are too many; a formula
+    without variables lists none."""
+    variables, size, constants, slots, spans, innermost = _program(phi)
     k = len(variables)
     algebra = poset._upset_algebra
     if k:
@@ -117,28 +168,7 @@ def counter_valuation(
     hi = [top] * size
     for position, value in constants:
         lo[position] = hi[position] = top if value else 0
-    implies = algebra.implies
-
-    def compute(stage: Tuple[tuple, ...]) -> None:
-        # used for the innermost stage alone; its values go to lo only, since
-        # any bound() that reads these nodes recomputes them first
-        for position, kind, left, right in stage:
-            if kind is And:
-                lo[position] = lo[left] & lo[right]
-            elif kind is Or:
-                lo[position] = lo[left] | lo[right]
-            else:
-                lo[position] = implies(lo[left], lo[right])
-
-    def bound(span: Tuple[tuple, ...]) -> None:
-        for position, kind, left, right in span:
-            if kind is And:
-                lo[position], hi[position] = lo[left] & lo[right], hi[left] & hi[right]
-            elif kind is Or:
-                lo[position], hi[position] = lo[left] | lo[right], hi[left] | hi[right]
-            else:
-                lo[position] = implies(hi[left], lo[right])
-                hi[position] = implies(lo[left], hi[right])
+    dget, imp = algebra._down.get, algebra.implies
 
     def decided(j: int) -> Optional[bool]:
         """Whether every completion of variables j.. refutes phi (True), none
@@ -156,17 +186,15 @@ def counter_valuation(
         """Whether some valuation refutes phi; the refuting upsets are left
         in their variables' slots. Depth first, with the upsets left to try
         for each bound outer variable on a stack; once all outer variables
-        are bound, the innermost one runs through all upsets."""
+        are bound, the innermost kernel runs the last one through all
+        upsets."""
         untried: List[Iterator[int]] = []
-        last = slots[-1]
         while True:
             if len(untried) + 1 == k:
-                for u in elements:
-                    lo[last] = u
-                    compute(innermost)
-                    if lo[-1] != top:
-                        return True
-                lo[last], hi[last] = 0, top
+                u = innermost(lo, elements, dget, imp, top)
+                if u is not None:
+                    lo[slots[-1]] = u
+                    return True
             else:
                 untried.append(iter(elements))
             while untried:  # the next upset of the innermost outer variable
@@ -177,7 +205,7 @@ def counter_valuation(
                     untried.pop()
                     continue
                 lo[slots[j]] = hi[slots[j]] = u
-                bound(spans[j])
+                spans[j + 1](lo, hi, dget, imp, top)
                 cut = decided(j + 1)
                 if cut:
                     return True
@@ -186,7 +214,7 @@ def counter_valuation(
             else:
                 return False
 
-    bound(steps)
+    spans[0](lo, hi, dget, imp, top)
     cut = decided(0)
     if not (cut or (cut is None and refuted())):
         return None

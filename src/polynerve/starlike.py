@@ -63,8 +63,9 @@ def alpha_blocks(poset: FinitePoset, mask: int, k: int) -> List[int]:
 
 
 def is_alpha_connected(poset: FinitePoset, alpha: Signature) -> bool:
-    """No element has an alpha-partition of its strict upset."""
-    return not any(map(alpha.splits, poset.strict_up_contypes))
+    """No element has an alpha-partition of its strict upset; each distinct
+    strict-upset type is asked once."""
+    return not any(map(alpha.splits, poset._strict_up_types))
 
 
 def is_alpha_diamond_connected(poset: FinitePoset, alpha: Signature) -> bool:

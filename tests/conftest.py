@@ -10,10 +10,11 @@ volume_refinement_oracle, former_is_refinement, former_from_json,
 former_sorted_simplices, former_homogeneous,
 fraction_lp_maximize, fraction_solve_exact, fraction_rank_exact,
 fraction_determinant, naive_counter_valuation, staged_counter_valuation,
+interval_counter_valuation,
 completion_diamond_connected, completion_nerve_connected,
 recursive_parse_formula, recursive_chain_masks, walked_nerve_contypes,
-bitwise_covers_up,
-recursive_search_up_reduction, recursive_monotone_surjection) reuse the
+bitwise_covers_up, searched_strict_up_contypes, scanned_strict_up_types,
+scanned_starlike_reduction, recursive_search_up_reduction, recursive_monotone_surjection) reuse the
 package primitives they were built on: the comparability masks, elementary
 stellar moves, the exact LP, barycentric coordinates, the
 face relation of simplices, the upset listing, the completion with a
@@ -884,6 +885,108 @@ def naive_counter_valuation(poset, phi, budget=VALUATION_BUDGET):
     return None
 
 
+def interval_counter_valuation(poset, phi, budget=VALUATION_BUDGET):
+    """The package's former interval interpreter: the staged search with
+    both interval cuts, each step dispatched on its connective at run time.
+    It builds its program on every call and reads an algebra of its own;
+    the valuation order, the budget check and the cuts are those of
+    counter_valuation."""
+    variables = phi.variables()
+    nodes = _flatten(phi, variables)
+    k = len(variables)
+    constants = []
+    slots = [0] * k
+    stages = [[] for _ in range(k + 1)]
+    for position, (kind, level, left, right) in enumerate(nodes):
+        if kind is Var:
+            slots[level] = position
+        elif kind is Const:
+            constants.append((position, left))
+        else:
+            stages[level + 1].append((position, kind, left, right))
+    steps = tuple(chain.from_iterable(stages))
+    spans = tuple(tuple(chain.from_iterable(stages[j + 1 :])) for j in range(k - 1))
+    innermost = tuple(stages[k])
+    size = len(nodes)
+    algebra = UpsetAlgebra(poset)  # its own listing and memo, not the poset's
+    if k:
+        elements = algebra.upsets(k, budget)
+    elif budget < 1:
+        raise SizeBudgetExceeded(f"1 valuation exceeds the budget of {budget}")
+    top = algebra.top
+    lo = [0] * size  # a bound node's value, and the lower end of an open one
+    hi = [top] * size
+    for position, value in constants:
+        lo[position] = hi[position] = top if value else 0
+    implies = algebra.implies
+
+    def compute(stage):
+        # used for the innermost stage alone; its values go to lo only, since
+        # any bound() that reads these nodes recomputes them first
+        for position, kind, left, right in stage:
+            if kind is And:
+                lo[position] = lo[left] & lo[right]
+            elif kind is Or:
+                lo[position] = lo[left] | lo[right]
+            else:
+                lo[position] = implies(lo[left], lo[right])
+
+    def bound(span):
+        for position, kind, left, right in span:
+            if kind is And:
+                lo[position], hi[position] = lo[left] & lo[right], hi[left] & hi[right]
+            elif kind is Or:
+                lo[position], hi[position] = lo[left] | lo[right], hi[left] | hi[right]
+            else:
+                lo[position] = implies(hi[left], lo[right])
+                hi[position] = implies(lo[left], hi[right])
+
+    def decided(j):
+        if lo[-1] == top:
+            return False
+        if hi[-1] == top:
+            return None
+        for slot in slots[j:]:
+            lo[slot] = elements[0]
+        return True
+
+    def refuted():
+        untried = []
+        last = slots[-1]
+        while True:
+            if len(untried) + 1 == k:
+                for u in elements:
+                    lo[last] = u
+                    compute(innermost)
+                    if lo[-1] != top:
+                        return True
+                lo[last], hi[last] = 0, top
+            else:
+                untried.append(iter(elements))
+            while untried:  # the next upset of the innermost outer variable
+                j = len(untried) - 1
+                u = next(untried[-1], None)
+                if u is None:
+                    lo[slots[j]], hi[slots[j]] = 0, top
+                    untried.pop()
+                    continue
+                lo[slots[j]] = hi[slots[j]] = u
+                bound(spans[j])
+                cut = decided(j + 1)
+                if cut:
+                    return True
+                if cut is None:
+                    break  # bind the next variable
+            else:
+                return False
+
+    bound(steps)
+    cut = decided(0)
+    if not (cut or (cut is None and refuted())):
+        return None
+    return {name: algebra.members(lo[slot]) for name, slot in zip(variables, slots)}
+
+
 def staged_counter_valuation(poset, phi, budget=VALUATION_BUDGET):
     """The package's former staged search: the same valuation order and
     budget check as counter_valuation, each subformula computed once its last
@@ -1069,6 +1172,55 @@ def bitwise_covers_up(poset):
         strict = poset.strict_up_mask(i)
         out.append(tuple(j for j in _bits(strict) if not strict & poset.strict_down_mask(j)))
     return tuple(out)
+
+
+def searched_strict_up_contypes(poset):
+    """The package's former strict-upset types: one component search over
+    each element's strict upset, component heights read off the depths."""
+    return tuple(poset._contype(poset.strict_up_mask(i), poset.depths) for i in range(poset.n))
+
+
+def scanned_strict_up_types(poset):
+    """The distinct strict-upset types, each with its first element by
+    decreasing height, then index, in the order of those elements, found by
+    scanning every element for every type."""
+    def key(i):
+        return (-poset.heights[i], i)
+
+    contypes = searched_strict_up_contypes(poset)
+    first = {t: min((i for i in range(poset.n) if contypes[i] == t), key=key) for t in set(contypes)}
+    return sorted(first.items(), key=lambda item: key(item[1]))
+
+
+def scanned_starlike_reduction(poset, target):
+    """The package's former up-reduction onto a starlike tree: the target's
+    branches derived on every call, and the apex found by scanning every
+    element's strict-upset type by decreasing height, then index."""
+    from polynerve.starlike import alpha_blocks
+
+    root = target.root()
+    root_idx = target.index(root)
+    up = target.covers_up
+    branches = []
+    for bottom in up[root_idx]:
+        branch = [bottom]
+        while up[branch[-1]]:
+            branch.append(up[branch[-1]][0])
+        branches.append(branch)
+    branches.sort(key=lambda b: (-len(b), b[0]))
+    want = Signature.from_heights(len(b) for b in branches)
+    for apex in sorted(range(poset.n), key=lambda i: (-poset.heights[i], i)):
+        if want.splits(searched_strict_up_contypes(poset)[apex]):
+            break
+    else:
+        return None
+    blocks = alpha_blocks(poset, poset.strict_up_mask(apex), len(branches))
+    mapping = {poset.labels[apex]: root}
+    for branch, block in zip(branches, blocks):
+        h = len(branch)
+        for y in _bits(block):
+            mapping[poset.labels[y]] = target.labels[branch[h - 1 - min(poset.depths[y], h - 1)]]
+    return mapping
 
 
 def recursive_search_up_reduction(poset, target, budget=10**7):

@@ -278,6 +278,17 @@ def test_nervify_strategies(spec, lambdas, winner):
     assert pn.is_graded(result.output) is not None
 
 
+@pytest.mark.parametrize("lambdas", [None, [S("2.1")]])
+def test_nervify_tries_the_input_before_the_scaffold(monkeypatch, lambdas):
+    def unwanted(poset):
+        raise AssertionError("the tree scaffold was built for an input that passes")
+
+    monkeypatch.setattr(constructions, "_tree_scaffold", unwanted)
+    for poset in [make_chain(4), layered_frame("rt<x0,x1<x2")]:
+        result = pn.nervify(poset, lambdas)
+        assert strategy(result) == "identity" and result.output is poset
+
+
 @pytest.mark.parametrize("lambdas", [None, [S("1^3")]])
 def test_nervify_refusal_says_what_was_tried(lambdas):
     # both fibres' orderings double-cover a rung that keeps taller structure,

@@ -28,6 +28,7 @@ from conftest import (
     recursive_search_up_reduction,
     refine_isomorphism,
     sample_posets,
+    scanned_starlike_reduction,
 )
 
 S = Signature.parse
@@ -181,6 +182,29 @@ def test_construction_agrees_with_search_oracle():
                 assert _apex(witness) == _apex(oracle), (poset, alpha)
     print(f"{pairs} pairs, {found} reductions, {refused} refused by the oracle")
     assert found and refused < pairs // 20
+
+
+def test_constructed_reductions_match_the_element_scan():
+    # the type index and the branches kept per target give the same apex,
+    # blocks and map as a scan over every element with branches derived on
+    # each call, onto relabelled trees too
+    rng = random.Random(131)
+    targets = []
+    for text in ("e", "1", "2", "1^2", "2.1", "1^3", "2^2", "3.1", "2^2.1^2"):
+        tree = pn.starlike_tree(S(text))
+        targets += [tree, _relabelled(tree, rng)]
+    posets = sample_posets(120, 8, seed=131) + sample_posets(120, 8, seed=137, rooted=True)
+    posets += [pn.nerve(frame) for frame in sample_posets(20, 5, seed=139, rooted=True)]
+    found = 0
+    for poset in posets:
+        for target in targets:
+            if target.n > poset.n:
+                continue
+            witness = pn.find_up_reduction(poset, target)
+            expected = scanned_starlike_reduction(poset, target)
+            assert (None if witness is None else witness.mapping) == expected, (poset, target)
+            found += witness is not None
+    assert found
 
 
 def _decided(search, *args, **kwargs):

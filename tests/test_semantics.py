@@ -1,5 +1,8 @@
+import os
 import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -12,6 +15,7 @@ from polynerve.semantics import UpsetAlgebra
 
 from conftest import (
     brute_upsets,
+    interval_counter_valuation,
     make_antichain,
     make_chain,
     naive_counter_valuation,
@@ -105,6 +109,96 @@ def test_shared_programs_match_both_oracles():
         if n % 7 == 0:
             assert got == naive_counter_valuation(frame, phi), (print_formula(phi), frame)
     assert semantics._program.cache_info().currsize == kept
+
+
+def _formula_over(rng, names, depth):
+    """A random formula whose leaves are drawn from ``names`` and the two
+    constants, so a name may repeat."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice([*map(Var, names), TRUE, FALSE])
+    kind = rng.choice([And, Or, Imp, Neg])
+    if kind is Neg:
+        return Neg(_formula_over(rng, names, depth - 1))
+    return kind(_formula_over(rng, names, depth - 1), _formula_over(rng, names, depth - 1))
+
+
+def test_kernels_match_the_interval_interpreter():
+    # formulas over 0 to 4 variables, constants among the leaves, bare
+    # variables and constants as whole formulas, and more distinct formulas
+    # than the program cache keeps, asked in an interleaved order, so
+    # evicted programs are compiled again
+    rng = random.Random(109)
+    kept = semantics._PROGRAMS_KEPT
+    distinct = dict.fromkeys([Var("p"), Var("s"), TRUE, FALSE, Neg(Var("q"))])
+    while len(distinct) <= kept + 60:
+        names = ["p", "q", "r", "s"][: len(distinct) % 5]
+        distinct.setdefault(_formula_over(rng, names, rng.randint(1, 5)))
+    formulas = list(distinct)
+    assert {len(phi.variables()) for phi in formulas} == {0, 1, 2, 3, 4}
+    frames = sample_posets(5, 3, seed=109) + sample_posets(5, 4, seed=113, rooted=True)
+    asks = [(phi, frame) for phi in formulas for frame in rng.sample(frames, 2)]
+    rng.shuffle(asks)
+    for n, (phi, frame) in enumerate(asks):
+        got = pn.counter_valuation(frame, phi)
+        assert got == interval_counter_valuation(frame, phi), (print_formula(phi), frame)
+        assert got == staged_counter_valuation(frame, phi), (print_formula(phi), frame)
+        if n % 7 == 0:
+            assert got == naive_counter_valuation(frame, phi), (print_formula(phi), frame)
+    assert semantics._program.cache_info().currsize == kept
+
+
+def _kernels(phi):
+    _, _, _, _, spans, innermost = semantics._program(phi)
+    return [*spans, *([innermost] if innermost else [])]
+
+
+def test_kernels_look_up_no_names_and_hold_only_node_positions():
+    texts = ["T", "F->T", "p", "~p|~~p", "(p->q)|(q->p)", "((~~p->p)->p|~p)->~p|~~p", "p0|(p0->p1)|(p0&p1->p2)"]
+    for phi in [parse_formula(text) for text in texts] + [Imp(Var("__import__"), Var("os"))]:
+        for kernel in _kernels(phi):
+            code = kernel.__code__
+            assert code.co_names == ()
+            assert all(c is None or type(c) is int for c in code.co_consts), code.co_consts
+
+
+def test_variables_named_like_kernel_internals_evaluate():
+    # the kernels' source holds node positions only, never a variable name
+    names = ["__import__", "os", "lo", "top", "hi", "d", "imp", "L0"]
+    rng = random.Random(127)
+    frames = sample_posets(6, 4, seed=127) + [pn.starlike_tree(S("1^2"))]
+    for _ in range(40):
+        phi = _formula_over(rng, rng.sample(names, 3), 4)
+        for frame in frames:
+            got = pn.counter_valuation(frame, phi)
+            assert got == interval_counter_valuation(frame, phi), print_formula(phi)
+            assert got == naive_counter_valuation(frame, phi), print_formula(phi)
+    lo, top = Var("lo"), Var("top")
+    fork = pn.starlike_tree(S("1^2"))
+    assert pn.counter_valuation(fork, Or(lo, Imp(lo, FALSE))) == {"lo": frozenset({"b1.1"})}
+    assert pn.frame_validates(fork, Imp(And(lo, top), Or(top, Var("__import__"))))
+
+
+DEEP_IMPLICATION_SCRIPT = """
+import sys
+import polynerve as pn
+from polynerve import parse_formula, semantics
+
+sys.setrecursionlimit(120)
+fork = pn.starlike_tree(pn.Signature.parse("1^2"))
+assert pn.frame_validates(fork, parse_formula("p->" * 499 + "p"))
+assert pn.counter_valuation(fork, parse_formula("(" * 498 + "p" + "->p)" * 498)) == {"p": frozenset()}
+assert all(not k.__code__.co_names for k in semantics._program(parse_formula("p->" * 499 + "p"))[4])
+print("ok")
+"""
+
+
+def test_deep_implications_are_decided_without_recursion():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", DEEP_IMPLICATION_SCRIPT], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ok\n"
 
 
 def test_census_axioms_share_programs_across_frames():
