@@ -212,11 +212,11 @@ def _search_up_reduction(
             image_above |= 1 << assignment[j]
         return image_above | 1 << v == target.up_mask(v)
 
-    for apex in sorted(range(poset.n), key=lambda i: (-poset.heights[i], i)):
+    for apex in poset._by_height:
         domain = poset.up_mask(apex)
         if max(poset.heights[j] for j in _bits(domain)) - poset.heights[apex] < max(target.heights):
             continue  # not enough height above the apex
-        order = sorted(_bits(domain ^ 1 << apex), key=lambda i: (-poset.heights[i], i))
+        order = [i for i in poset._by_height if domain >> i & 1 and i != apex]
         assignment, tries = _onto_assignment(order, values, fits, budget, refusal)
         budget -= tries
         if assignment is not None:

@@ -54,7 +54,7 @@ def nerve(poset: FinitePoset, budget: int = SIZE_BUDGET) -> NervePoset:
                 covers[position[smaller]].append(k)
     built = poset_from_cover_dag(labels, covers)
     nerve_poset = NervePoset(labels, built._up, poset, tuple(chains))
-    nerve_poset.covers_up, nerve_poset.heights = built.covers_up, built.heights
+    nerve_poset.covers_up, nerve_poset._extension = built.covers_up, built._extension
     return nerve_poset
 
 

@@ -157,43 +157,41 @@ class FinitePoset:
         for i, ups in enumerate(self.covers_up):
             for j in ups:
                 out[j].append(i)
-        return tuple(tuple(v) for v in out)
+        return tuple(map(tuple, out))
 
     @cached_property
     def _extension(self) -> Tuple[int, ...]:
         """A linear extension: elements by the size of their downsets."""
         return tuple(sorted(range(self.n), key=lambda i: bin(self._down[i]).count("1")))
 
-    def _chain_heights(self, mask: int, dual: bool = False) -> Dict[int, int]:
-        """For each element of ``mask``, the longest chain inside ``mask``
-        that ends at it (starts at it, when ``dual``), minus one."""
-        below, order = self._down, self._extension
+    def _chain_heights(self, mask: int, dual: bool = False) -> List[int]:
+        """For each element, the most members of ``mask`` on a chain ending at
+        it (starting at it, when ``dual``), minus one, from one pass over the
+        lower (upper) covers: a chain of members saturates through covers
+        without losing a member, so this is exact for any mask, convex or not."""
+        covers, order = self.covers_down, self._extension
         if dual:
-            below, order = self._up, reversed(order)
-        h: Dict[int, int] = {}
-        for i in order:
-            if mask >> i & 1:
-                best = -1
-                m = (below[i] & mask) ^ (1 << i)
-                while m:  # inline: through _bits this pass took about 20% longer
-                    b = m & -m
-                    m ^= b
-                    v = h[b.bit_length() - 1]
-                    if v > best:
-                        best = v
-                h[i] = best + 1
+            covers, order = self.covers_up, reversed(order)
+        h = [-1] * len(covers)
+        get = h.__getitem__
+        for i in order:  # max(map(...), default=-1) alone took about four times as long on a chain
+            c = covers[i]
+            h[i] = (max(map(get, c)) if len(c) > 1 else h[c[0]] if c else -1) + (mask >> i & 1)
         return h
 
     @cached_property
     def heights(self) -> Tuple[int, ...]:
         """Height of each element: longest chain in its downset, minus one."""
-        h = self._chain_heights(self.full_mask)
-        return tuple(h[i] for i in range(self.n))
+        return tuple(self._chain_heights(self.full_mask))
 
     @cached_property
     def depths(self) -> Tuple[int, ...]:
-        d = self._chain_heights(self.full_mask, dual=True)
-        return tuple(d[i] for i in range(self.n))
+        return tuple(self._chain_heights(self.full_mask, dual=True))
+
+    @cached_property
+    def _by_height(self) -> Tuple[int, ...]:
+        """The elements by decreasing height, then index."""
+        return tuple(sorted(range(self.n), key=lambda i: (-self.heights[i], i)))
 
     def maximal_elements(self) -> frozenset:
         return frozenset(self.labels[i] for i in range(self.n) if self.depths[i] == 0)
@@ -228,16 +226,22 @@ class FinitePoset:
             remaining &= ~comp
         return comps
 
+    def _mask_levels(self, mask: int) -> List[int]:
+        """``_chain_heights`` of a mask from outside, refused unless it names a
+        subset of the elements."""
+        if mask < 0 or mask >> self.n:
+            raise IndexOutOfRange(f"mask is negative or has a bit at or above {self.n}, the number of elements")
+        return self._chain_heights(mask)
+
     def mask_height(self, mask: int) -> int:
         """Longest chain inside ``mask``, minus one; -1 for the empty mask."""
-        return max(self._chain_heights(mask).values(), default=-1)
+        return max(self._mask_levels(mask), default=-1)
 
-    def _typed_components(self, mask: int, level=None) -> List[Tuple[int, int]]:
+    def _typed_components(self, mask: int) -> List[Tuple[int, int]]:
         """The components of ``mask`` in ``component_masks`` order, each with
-        its height: the largest ``level`` of a member, the longest chain inside
-        ``mask`` ending (or starting) there; by default one longest-chain pass."""
-        if level is None:
-            level = self._chain_heights(mask)
+        its height: the largest of its members' longest chains inside
+        ``mask``, from one longest-chain pass."""
+        level = self._mask_levels(mask)
         typed = []
         for c in self.component_masks(mask):
             best, m = -1, c
@@ -254,49 +258,44 @@ class FinitePoset:
         """Connectedness type of the subposet on ``mask``: the heights
         (longest chain sizes) of its components in descending order, ``()``
         for the empty mask."""
-        return self._contype(mask)
+        return tuple(sorted((h + 1 for _, h in self._typed_components(mask)), reverse=True))
 
-    def _contype(self, mask: int, level=None) -> Tuple[int, ...]:
-        """``contype_of_mask`` with the heights of ``_typed_components``."""
-        if not mask & (mask - 1):  # empty or one element: no component pass
-            return (1,) if mask else ()
-        return tuple(sorted((h + 1 for _, h in self._typed_components(mask, level)), reverse=True))
+    def _grouped_types(self, rows, pieces, tops, within: int = -1) -> List[Tuple[int, ...]]:
+        """For each row of elements j, the connectedness type of the union of
+        the pieces ``pieces[j] & within``, each connected and of height
+        ``tops[j] + 1``: pieces whose masks meet are joined, transitively,
+        into the components, and a component's height is the largest of its
+        pieces'. Pieces that miss ``within`` are left out."""
+        out = []
+        for row in rows:
+            groups: Dict[int, int] = {}  # mask -> height of each component so far
+            for j in row:
+                mask, top = pieces[j] & within, tops[j] + 1
+                if mask:
+                    for other in [m for m in groups if m & mask]:
+                        mask |= other
+                        top = max(top, groups.pop(other))
+                    groups[mask] = top
+            out.append(tuple(sorted(groups.values(), reverse=True)))
+        return out
 
     @cached_property
     def strict_up_contypes(self) -> Tuple[Tuple[int, ...], ...]:
         """Connectedness type of the strict upset of each element, indexed by
-        element, as height tuples (see :meth:`contype_of_mask`), read off the
-        upper covers. The strict upset of i is the union of up(j) over its
-        upper covers j, each connected with j at its bottom, so its
-        components are the groups of covers whose upsets meet, joined
-        transitively; a group's height is its largest depth plus one, since
-        an upset holds every chain starting in it."""
-        up, depths = self._up, self.depths
-        out = []
-        for covers in self.covers_up:
-            groups: List[Tuple[int, int]] = []  # (mask, height) of each component so far
-            for j in covers:
-                mask, top = up[j], depths[j] + 1
-                apart = []
-                for group in groups:
-                    if group[0] & mask:
-                        mask |= group[0]
-                        top = max(top, group[1])
-                    else:
-                        apart.append(group)
-                apart.append((mask, top))
-                groups = apart
-            out.append(tuple(sorted((h for _, h in groups), reverse=True)))
-        return tuple(out)
+        element, as height tuples (see :meth:`contype_of_mask`). The strict
+        upset of i is the union of up(j) over its upper covers j, each
+        connected with j at its bottom and of height ``depths[j] + 1``, since
+        an upset holds every chain starting in it (see ``_grouped_types``)."""
+        return tuple(self._grouped_types(self.covers_up, self._up, self.depths))
 
     @cached_property
     def _strict_up_types(self) -> Dict[Tuple[int, ...], int]:
         """Each distinct strict-upset type with the first element of that
         type by decreasing height, then index, in the order of those
         elements; built by walking the elements in that order."""
-        contypes, heights = self.strict_up_contypes, self.heights
+        contypes = self.strict_up_contypes
         types: Dict[Tuple[int, ...], int] = {}
-        for i in sorted(range(self.n), key=lambda i: (-heights[i], i)):
+        for i in self._by_height:
             types.setdefault(contypes[i], i)
         return types
 
@@ -322,23 +321,25 @@ class FinitePoset:
     @cached_property
     def diamond_contypes(self) -> frozenset:
         """Distinct connectedness types of the strict diamonds of all pairs
-        x < y, as height tuples. One longest-chain pass over the strict upset
-        of x serves every y: for z in (x, y), the longest chain that ends at
-        z inside that upset lies in (x, z], so inside the diamond."""
+        x < y, as height tuples. The strict diamond (x, y) is the union of the
+        intervals (x, z] over the lower covers z of y above x, and the height
+        of (x, z] is the longest chain ending at z inside the strict upset of
+        x, so one pass over that upset serves every y (see ``_grouped_types``)."""
         types = set()
-        for i in range(self.n):
-            up = self.strict_up_mask(i)
-            level = self._chain_heights(up)
-            types.update(self._contype(up & self.strict_down_mask(j), level) for j in _bits(up))
+        for x in range(self.n):
+            above = self.strict_up_mask(x)
+            rows = [self.covers_down[y] for y in _bits(above)]
+            types.update(self._grouped_types(rows, self._down, self._chain_heights(above), above))
         return frozenset(types)
 
     @cached_property
     def _nerve_contypes(self) -> Tuple[Tuple[int, ...], ...]:
         """Distinct connectedness types of the strict upsets of the nerve,
         sorted, up to types that add no split: those of every strict upset,
-        strict downset (component heights from ``heights``, dual to the
-        upsets) and strict diamond (see ``nerve_is_alpha_connected``)."""
-        downs = (self._contype(self.strict_down_mask(i), self.heights) for i in range(self.n))
+        strict downset and strict diamond (see ``nerve_is_alpha_connected``).
+        The strict downset of i is the union of down(j) over its lower covers
+        j, each of height ``heights[j] + 1``, dual to the upsets."""
+        downs = self._grouped_types(self.covers_down, self._down, self.heights)
         return tuple(sorted({*self.strict_up_contypes, *self.diamond_contypes, *downs}))
 
     # -- chains ---------------------------------------------------------------------
@@ -458,7 +459,7 @@ class UpsetAlgebra:
         masks, poset = self._table, self.poset
         if masks is None:
             masks = [0]
-            for i in sorted(range(poset.n), key=lambda i: (-poset.heights[i], i)):
+            for i in poset._by_height:
                 if budget is not None and len(masks) ** k > budget:
                     raise SizeBudgetExceeded(
                         f"at least {len(masks) ** k} valuations exceed the budget of {budget}"
@@ -560,7 +561,7 @@ def poset_from_cover_dag(labels: Sequence[str], covers_up: Sequence[Sequence[int
     topological order (every cover target has a larger index).
     ``covers_up[i]`` must list exactly the elements that cover i, in
     ascending order: the poset keeps those lists as its ``covers_up`` and
-    takes its heights from one pass over them, unchecked."""
+    the index order as its linear extension, unchecked."""
     n = len(labels)
     up = [0] * n
     for i in range(n - 1, -1, -1):
@@ -568,14 +569,9 @@ def poset_from_cover_dag(labels: Sequence[str], covers_up: Sequence[Sequence[int
         for j in covers_up[i]:
             mask |= up[j]
         up[i] = mask
-    heights = [0] * n
-    for i, covers in enumerate(covers_up):
-        for j in covers:
-            if heights[j] <= heights[i]:
-                heights[j] = heights[i] + 1
     poset = FinitePoset(labels, up, _trusted=True)
     poset.covers_up = tuple(map(tuple, covers_up))
-    poset.heights = tuple(heights)
+    poset._extension = tuple(range(n))
     return poset
 
 

@@ -13,7 +13,9 @@ fraction_determinant, naive_counter_valuation, staged_counter_valuation,
 interval_counter_valuation,
 completion_diamond_connected, completion_nerve_connected,
 recursive_parse_formula, recursive_chain_masks, walked_nerve_contypes,
-bitwise_covers_up, searched_strict_up_contypes, scanned_strict_up_types,
+bitwise_covers_up, down_bit_chain_heights, searched_typed_components,
+searched_contype, searched_strict_up_contypes, searched_strict_down_contypes,
+searched_diamond_contypes, scanned_strict_up_types,
 scanned_starlike_reduction, recursive_search_up_reduction, recursive_monotone_surjection) reuse the
 package primitives they were built on: the comparability masks, elementary
 stellar moves, the exact LP, barycentric coordinates, the
@@ -1174,10 +1176,78 @@ def bitwise_covers_up(poset):
     return tuple(out)
 
 
+def down_bit_chain_heights(poset, mask, dual=False):
+    """The package's former longest-chain kernel: for each element of
+    ``mask``, along a linear extension by downset size, the longest chain
+    inside ``mask`` ending at it (starting at it, when ``dual``), minus one,
+    read off every member below (above) it, so O(comparable pairs)."""
+    below, order = poset._down, sorted(range(poset.n), key=lambda i: bin(poset._down[i]).count("1"))
+    if dual:
+        below, order = poset._up, reversed(order)
+    h = {}
+    for i in order:
+        if mask >> i & 1:
+            best = -1
+            m = (below[i] & mask) ^ (1 << i)
+            while m:
+                b = m & -m
+                m ^= b
+                v = h[b.bit_length() - 1]
+                if v > best:
+                    best = v
+            h[i] = best + 1
+    return h
+
+
+def searched_typed_components(poset, mask, level=None):
+    """The package's former typed components: the components of ``mask`` in
+    ``component_masks`` order, each with the largest ``level`` of a member,
+    by default the former kernel's pass over ``mask``."""
+    if level is None:
+        level = down_bit_chain_heights(poset, mask)
+    typed = []
+    for c in poset.component_masks(mask):
+        best, m = -1, c
+        while m:
+            b = m & -m
+            m ^= b
+            v = level[b.bit_length() - 1]
+            if v > best:
+                best = v
+        typed.append((c, best))
+    return typed
+
+
+def searched_contype(poset, mask, level=None):
+    """The package's former connectedness type of ``mask``, from a component
+    search with the heights of ``searched_typed_components``."""
+    if not mask & (mask - 1):  # empty or one element: no component pass
+        return (1,) if mask else ()
+    return tuple(sorted((h + 1 for _, h in searched_typed_components(poset, mask, level)), reverse=True))
+
+
 def searched_strict_up_contypes(poset):
     """The package's former strict-upset types: one component search over
     each element's strict upset, component heights read off the depths."""
-    return tuple(poset._contype(poset.strict_up_mask(i), poset.depths) for i in range(poset.n))
+    return tuple(searched_contype(poset, poset.strict_up_mask(i), poset.depths) for i in range(poset.n))
+
+
+def searched_strict_down_contypes(poset):
+    """The package's former strict-downset types: one component search over
+    each element's strict downset, component heights read off the heights."""
+    return tuple(searched_contype(poset, poset.strict_down_mask(i), poset.heights) for i in range(poset.n))
+
+
+def searched_diamond_contypes(poset):
+    """The package's former strict-diamond types: per bottom x, one former
+    kernel pass over the strict upset of x, then a component search over
+    each strict diamond (x, y)."""
+    types = set()
+    for i in range(poset.n):
+        up = poset.strict_up_mask(i)
+        level = down_bit_chain_heights(poset, up)
+        types.update(searched_contype(poset, up & poset.strict_down_mask(j), level) for j in _bits(up))
+    return frozenset(types)
 
 
 def scanned_strict_up_types(poset):
