@@ -9,6 +9,7 @@ anywhere.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from fractions import Fraction
 from math import lcm, prod
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
@@ -87,9 +88,14 @@ class _Point(tuple):
 
 
 def rational_point(coords: Iterable) -> RationalPoint:
+    """The point of the given coordinates, each anything Fraction reads;
+    MalformedInput for anything else, or for a point that is no sequence."""
     if type(coords) is _Point:
         return coords
-    return _Point(Fraction(c) for c in coords)
+    try:
+        return _Point(Fraction(c) for c in coords)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise MalformedInput(f"not a rational point: {exc}") from exc
 
 
 def _format_coord(value: Fraction) -> str:
@@ -120,16 +126,11 @@ class Simplex(Frozen):
             raise AffineDependence(f"vertices are affinely dependent: {self.label()}")
 
     @classmethod
-    def _trusted(cls, vertices: Iterable[RationalPoint]) -> "Simplex":
-        """A simplex on points of this module already known to be distinct
-        and affinely independent: sorted, but neither normalised nor
+    def _sorted(cls, vertices: Tuple[RationalPoint, ...]) -> "Simplex":
+        """A simplex on points of this module already known to be distinct,
+        affinely independent and in sorted order: neither normalised nor
         rank-checked. For internal constructions only, never for outside
         input."""
-        return cls._sorted(tuple(sorted(vertices)))
-
-    @classmethod
-    def _sorted(cls, vertices: Tuple[RationalPoint, ...]) -> "Simplex":
-        """_trusted on vertices already in sorted order."""
         simplex = object.__new__(cls)
         object.__setattr__(simplex, "vertices", vertices)
         return simplex
@@ -195,10 +196,7 @@ class Simplex(Frozen):
         return self.vertex_set <= other.vertex_set
 
     def barycentre(self) -> RationalPoint:
-        *rows, qs = self._integer_matrix
-        common = lcm(*qs)
-        weights = [common // q for q in qs]
-        return _Point(Fraction(sum(c * w for c, w in zip(row, weights)), common * len(qs)) for row in rows)
+        return _barycentre(self.vertices)
 
     def barycentric_coords(self, point: Sequence) -> Optional[Tuple[Fraction, ...]]:
         """Coefficients of the point over the vertices (summing to one), or
@@ -234,6 +232,13 @@ class Simplex(Frozen):
         return coords is not None and all(c > 0 for c in coords)
 
 
+def _barycentre(vertices: Sequence[RationalPoint]) -> RationalPoint:
+    *rows, qs = zip(*(v._homogeneous for v in vertices))
+    common = lcm(*qs)
+    weights = [common // q for q in qs]
+    return _Point(Fraction(sum(c * w for c, w in zip(row, weights)), common * len(qs)) for row in rows)
+
+
 def barycentre(simplex: Simplex) -> RationalPoint:
     return simplex.barycentre()
 
@@ -242,86 +247,133 @@ def relint_contains(simplex: Simplex, point: Sequence) -> bool:
     return simplex.relint_contains(point)
 
 
-def _facets(simplex: Simplex) -> List[FrozenSet[RationalPoint]]:
-    """The vertex sets of the facets: drop one vertex. In a downward-closed
-    family a proper face of a member is a facet of some member, so this one
-    relation gives covers, closure and maximality."""
-    whole = simplex.vertex_set
-    return [whole - {v} for v in simplex.vertices] if simplex.dim > 0 else []
+def _in_order(masks: Iterable[int]) -> Tuple[int, ...]:
+    """Simplex masks by size, then by their ranks in ascending order, as in
+    sorted_simplices: of two masks of one size, the one holding their lowest
+    differing bit comes first, so bit strings read from bit 0 go downwards."""
+    return tuple(sorted(masks, key=lambda m: (-m.bit_count(), bin(m)[:1:-1]), reverse=True))
 
 
 class RationalComplex:
     """A finite simplicial complex: downward-closed, with pairwise
     intersections that are common faces. Use validate_complex for foreign
     data; internal constructions are complexes by design and skip both
-    checks."""
+    checks. It is held as its sorted vertex tuple and a frozenset of int
+    masks over their ranks, one per simplex; Simplex objects are made only
+    where the API hands simplices out."""
 
     def __init__(self, simplices: Iterable[Simplex], _trusted: bool = False):
         simplices = frozenset(simplices)
         if len({s.ambient_dim for s in simplices}) > 1:
             raise DimensionMismatch("simplices must share an ambient space")
+        self.vertices = tuple(sorted({v for s in simplices for v in s.vertices}))
+        rank = self._rank
+        self._masks = frozenset(sum(1 << rank[v] for v in s.vertices) for s in simplices)
         self.simplices = simplices
         if not _trusted:
             _check_complex(self)
 
+    @classmethod
+    def _built(cls, vertices: Tuple[RationalPoint, ...], masks: FrozenSet[int]) -> "RationalComplex":
+        """Unchecked, for internal constructions: masks over sorted vertices, each used."""
+        complex_ = object.__new__(cls)
+        complex_.vertices, complex_._masks = vertices, masks
+        return complex_
+
     @property
     def ambient_dim(self) -> int:
-        return next(iter(self.simplices)).ambient_dim if self.simplices else 0
+        return len(self.vertices[0]) if self.vertices else 0
+
+    @cached_property
+    def _rank(self) -> Dict[RationalPoint, int]:
+        return {v: r for r, v in enumerate(self.vertices)}
+
+    def _simplex(self, mask: int) -> Simplex:
+        return Simplex._sorted(tuple(self.vertices[r] for r in _bits(mask)))
+
+    def _mask_of(self, simplex: Simplex) -> Optional[int]:
+        """The mask of a member simplex; None for anything else."""
+        if not isinstance(simplex, Simplex):
+            return None
+        mask = 0
+        for v in simplex.vertices:
+            r = self._rank.get(v)
+            if r is None:
+                return None
+            mask |= 1 << r
+        return mask if mask in self._masks else None
+
+    @cached_property
+    def simplices(self) -> FrozenSet[Simplex]:
+        return frozenset(map(self._simplex, self._masks))
+
+    @cached_property
+    def _sorted_masks(self) -> Tuple[int, ...]:
+        return _in_order(self._masks)
 
     @cached_property
     def sorted_simplices(self) -> Tuple[Simplex, ...]:
-        rank = {v: i for i, v in enumerate(self.vertices)}  # vertex tuples are sorted
-        return tuple(sorted(self.simplices, key=lambda s: (s.dim, tuple(rank[v] for v in s.vertices))))
+        return tuple(map(self._simplex, self._sorted_masks))
 
     @cached_property
-    def vertices(self) -> Tuple[RationalPoint, ...]:
-        return tuple(sorted({v for s in self.simplices for v in s.vertices}))
+    def _tops(self) -> Tuple[int, ...]:
+        """Masks of the maximal simplices in sorted order: no facet m ^ bit of another."""
+        covered = {m ^ (1 << r) for m in self._masks for r in _bits(m)}
+        return _in_order(self._masks - covered)
 
     @cached_property
     def _maximal(self) -> Tuple[Simplex, ...]:
-        covered = {facet for t in self.simplices for facet in _facets(t)}
-        return tuple(s for s in self.sorted_simplices if s.vertex_set not in covered)
+        return tuple(map(self._simplex, self._tops))
 
     def maximal_simplices(self) -> List[Simplex]:
         return list(self._maximal)
 
     @cached_property
-    def _index(self) -> Dict[FrozenSet[RationalPoint], int]:
-        """Vertex set -> position in sorted_simplices, i.e. in the face poset."""
-        return {s.vertex_set: i for i, s in enumerate(self.sorted_simplices)}
+    def _index(self) -> Dict[int, int]:
+        """Mask -> position in sorted_simplices, i.e. in the face poset."""
+        return {m: i for i, m in enumerate(self._sorted_masks)}
 
     @cached_property
     def _face_poset(self) -> FinitePoset:
-        covers: List[List[int]] = [[] for _ in self.sorted_simplices]
-        for j, t in enumerate(self.sorted_simplices):
-            for facet in _facets(t):
-                covers[self._index[facet]].append(j)
-        return poset_from_cover_dag([s.label() for s in self.sorted_simplices], covers)
+        """The lower covers of a simplex are its facets m ^ bit; dropping a
+        higher rank leaves an earlier face, so covers_down lists them reversed."""
+        index = self._index
+        ups: List[List[int]] = [[] for _ in index]
+        downs = []
+        for j, m in enumerate(self._sorted_masks):
+            below = [index[m ^ (1 << r)] for r in _bits(m)] if m & (m - 1) else []
+            below.reverse()
+            for i in below:
+                ups[i].append(j)
+            downs.append(tuple(below))
+        texts = [v._text for v in self.vertices]
+        labels = ["<" + ";".join([texts[r] for r in _bits(m)]) + ">" for m in self._sorted_masks]
+        faces = poset_from_cover_dag(labels, ups)
+        faces.covers_down = tuple(downs)
+        return faces
 
     def __len__(self) -> int:
-        return len(self.simplices)
+        return len(self._masks)
 
     def __contains__(self, simplex: Simplex) -> bool:
-        return simplex in self.simplices
+        return self._mask_of(simplex) is not None
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RationalComplex) and self.simplices == other.simplices
+        return isinstance(other, RationalComplex) and (self.vertices, self._masks) == (other.vertices, other._masks)
 
     def __hash__(self):
-        return hash(self.simplices)
+        return hash((self.vertices, self._masks))
 
     def __repr__(self) -> str:
-        return f"RationalComplex({len(self.simplices)} simplices in Q^{self.ambient_dim})"
+        return f"RationalComplex({len(self._masks)} simplices in Q^{self.ambient_dim})"
 
     # -- serialisation: maximal simplices only, exact integer pairs -------------
 
     def to_json(self) -> str:
-        verts = list(self.vertices)
-        index = {v: i for i, v in enumerate(verts)}
         payload = {
             "dim": self.ambient_dim,
-            "vertices": [[[c.numerator, c.denominator] for c in v] for v in verts],
-            "simplices": [sorted(index[v] for v in s.vertices) for s in self._maximal],
+            "vertices": [[[c.numerator, c.denominator] for c in v] for v in self.vertices],
+            "simplices": [list(_bits(m)) for m in self._tops],
         }
         return json.dumps(payload, sort_keys=True)
 
@@ -354,12 +406,12 @@ def _complex_from_table(verts: List[RationalPoint], listed: List[List[int]]) -> 
     """The complex of the listed simplices, given as indices into the vertex
     table, and of all their faces, validated as validate_complex would.
 
-    The distinct points are sorted once, and each listed simplex becomes a
-    mask over their ranks; the faces are the submasks, so the family is
-    downward closed by construction. If a listed simplex repeats a point or
-    is affinely dependent, the Simplex constructor reruns on each listed
-    simplex in turn, to raise the first error in list order."""
-    order = sorted(set(verts))
+    The distinct points the simplices use are sorted once, and each listed
+    simplex becomes a mask over their ranks; the faces are the submasks, so
+    the family is downward closed by construction. If a listed simplex
+    repeats a point or is affinely dependent, the Simplex constructor reruns
+    on each listed simplex in turn, to raise the first error in list order."""
+    order = sorted({verts[i] for ix in listed for i in ix})
     rank = {v: r for r, v in enumerate(order)}
     masks = []
     for ix in listed:
@@ -368,34 +420,36 @@ def _complex_from_table(verts: List[RationalPoint], listed: List[List[int]]) -> 
             mask |= 1 << rank[verts[i]]
         masks.append(mask)
     repeats = any(mask.bit_count() != len(ix) for mask, ix in zip(masks, listed))
-    faces = None if repeats else _independent_closure(masks, order)
-    if faces is None:
+    closure = None if repeats else _independent_closure(masks, order)
+    if closure is None:
         for ix in listed:
             Simplex(tuple(verts[i] for i in ix))
         raise RuntimeError("internal error: no listed simplex failed its own check")
-    complex_ = RationalComplex(
-        (Simplex._sorted(tuple(order[r] for r in _bits(mask))) for mask in faces), _trusted=True
-    )
+    faces, tops = closure
+    complex_ = RationalComplex._built(tuple(order), frozenset(faces))
+    complex_._rank, complex_._tops = rank, _in_order(tops)
     _check_pairs(complex_._maximal)
     return complex_
 
 
-def _independent_closure(masks: List[int], order: Sequence[RationalPoint]) -> Optional[Set[int]]:
-    """Every nonempty submask of the masks over the sorted points, or None
-    when some point set is affinely dependent. Only the masks that no other
-    one contains are checked, largest first and before their submasks are
-    listed: a face of an independent set is independent."""
+def _independent_closure(masks: List[int], order: Sequence[RationalPoint]) -> Optional[Tuple[Set[int], List[int]]]:
+    """Every nonempty submask of the masks over the sorted points, and the
+    masks no other one contains, or None when some point set is affinely
+    dependent. Only those maximal masks are checked, largest first and before
+    their submasks are listed: a face of an independent set is independent."""
     faces: Set[int] = set()
+    tops = []
     for mask in sorted(set(masks), key=int.bit_count, reverse=True):
         if mask in faces:
             continue
         if rank_exact([order[r]._homogeneous for r in _bits(mask)]) != mask.bit_count():
             return None
+        tops.append(mask)
         face = mask
         while face:
             faces.add(face)
             face = (face - 1) & mask
-    return faces
+    return faces, tops
 
 
 def _is_coordinate(pair) -> bool:
@@ -467,12 +521,13 @@ def _facet_separates(s: Simplex, t: Simplex, shared: FrozenSet[RationalPoint]) -
 
 
 def _check_complex(complex_: RationalComplex) -> None:
+    rank, masks = complex_._rank, complex_._masks
     for s in complex_.simplices:
-        for facet in _facets(s):
-            if facet not in complex_._index:
-                raise NotDownwardClosed(
-                    f"face {Simplex(tuple(facet)).label()} of {s.label()} is missing"
-                )
+        mask = sum(1 << rank[v] for v in s.vertices)
+        for r in _bits(mask):
+            facet = mask ^ (1 << r)
+            if facet and facet not in masks:
+                raise NotDownwardClosed(f"face {complex_._simplex(facet).label()} of {s.label()} is missing")
     # Every facet present means downward closed, by induction on dimension.
     _check_pairs(complex_._maximal)
 
@@ -502,29 +557,36 @@ def face_poset(complex_: RationalComplex) -> FinitePoset:
     return complex_._face_poset
 
 
-def _locate(point: RationalPoint, tops: Iterable[Simplex]) -> Tuple[Dict[RationalPoint, int], int]:
-    """The point's carrier as {vertex: positive numerator} and the positive
-    denominator of those barycentric coordinates, read off the first simplex
-    whose coordinates for it are all >= 0. Carriers are unique, so any
-    maximal simplex holding the point gives the same answer."""
-    for top in tops:
+def _locate(point: RationalPoint, complex_: RationalComplex) -> Tuple[int, Dict[int, int], int]:
+    """The point's carrier as a mask, {vertex rank: positive numerator} and
+    the positive denominator of its barycentric coordinates there, read off
+    the first maximal simplex whose coordinates for it are all >= 0.
+    Carriers are unique, so any maximal simplex holding it gives the same."""
+    for mask, top in zip(complex_._tops, complex_._maximal):
         coords = top._integer_coords(point)
         if coords is not None and min(coords[0]) >= 0:
             numerators, denom = coords
-            return {v: m for v, m in zip(top.vertices, numerators) if m > 0}, denom
+            row = {r: m for r, m in zip(_bits(mask), numerators) if m > 0}
+            return sum(1 << r for r in row), row, denom
     raise PointOutsideSupport(f"{_format_point(point)} lies outside the support")
 
 
 def carrier(complex_: RationalComplex, point: Sequence) -> Simplex:
     """The unique simplex whose relative interior holds the point."""
-    return Simplex._trusted(_locate(rational_point(point), complex_._maximal)[0])
+    return complex_._simplex(_locate(rational_point(point), complex_)[0])
+
+
+def _member_mask(complex_: RationalComplex, simplex: Simplex, refusal: str) -> int:
+    mask = complex_._mask_of(simplex)
+    if mask is None:
+        raise UnknownElement(refusal)
+    return mask
 
 
 def open_star(complex_: RationalComplex, simplex: Simplex) -> FrozenSet[Simplex]:
     """The simplices whose relative interiors make up the open star."""
-    if simplex not in complex_.simplices:
-        raise UnknownElement("open star is only defined for members of the complex")
-    up = face_poset(complex_).up_mask(complex_._index[simplex.vertex_set])
+    mask = _member_mask(complex_, simplex, "open star is only defined for members of the complex")
+    up = face_poset(complex_).up_mask(complex_._index[mask])
     return frozenset(complex_.sorted_simplices[j] for j in _bits(up))
 
 
@@ -538,26 +600,36 @@ def elementary_stellar(complex_: RationalComplex, point: Sequence) -> RationalCo
     exactly when the point is a vertex. A face missing the point misses its
     affine span too, as aff(face) ∩ s = face, so each cone is a simplex."""
     point = rational_point(point)
-    return _stellar(complex_, point, frozenset(_locate(point, complex_._maximal)[0]))
+    return _stellar(complex_, point, _locate(point, complex_)[0])
 
 
-def _stellar(complex_: RationalComplex, point: RationalPoint, centre: FrozenSet[RationalPoint]) -> RationalComplex:
-    """elementary_stellar at a point whose carrier's vertex set is known."""
-    new_simplices: Set[Simplex] = {Simplex._trusted((point,))}
-    for s in complex_.simplices:
-        if not centre <= s.vertex_set:
-            new_simplices.add(s)
+def _stellar(complex_: RationalComplex, point: RationalPoint, centre: int) -> RationalComplex:
+    """elementary_stellar at a point whose carrier's mask is known: the point
+    takes its rank among the sorted vertices, the ranks above move up one,
+    and each mask holding the centre gives way to cones over its submasks."""
+    verts = complex_.vertices
+    k = bisect_left(verts, point)
+    if k < len(verts) and verts[k] == point:
+        return complex_  # a vertex is its own carrier: nothing moves
+    low, apex = (1 << k) - 1, 1 << k
+    centre = (centre & low) | (centre & ~low) << 1
+    new = {apex}
+    for m in complex_._masks:
+        m = (m & low) | (m & ~low) << 1
+        if m & centre != centre:
+            new.add(m)
             continue
-        for face in s.faces():
-            if not centre <= face.vertex_set:
-                new_simplices.add(Simplex._trusted(face.vertices + (point,)))
-    return RationalComplex(new_simplices, _trusted=True)
+        face = m
+        while face:
+            if face & centre != centre:
+                new.add(face | apex)
+            face = (face - 1) & m
+    return RationalComplex._built(verts[:k] + (point,) + verts[k:], frozenset(new))
 
 
 def elementary_barycentric(complex_: RationalComplex, simplex: Simplex) -> RationalComplex:
-    if simplex not in complex_.simplices:
-        raise UnknownElement("can only subdivide at a barycentre of a member simplex")
-    return _stellar(complex_, simplex.barycentre(), simplex.vertex_set)  # interior to the simplex
+    mask = _member_mask(complex_, simplex, "can only subdivide at a barycentre of a member simplex")
+    return _stellar(complex_, simplex.barycentre(), mask)  # interior to the simplex
 
 
 def barycentric_subdivision(complex_: RationalComplex, budget: int = SIZE_BUDGET) -> RationalComplex:
@@ -568,11 +640,23 @@ def barycentric_subdivision(complex_: RationalComplex, budget: int = SIZE_BUDGET
     faces = face_poset(complex_)
     if faces.count_chains() > budget:
         raise SizeBudgetExceeded(f"subdivision exceeded the budget of {budget} simplices")
-    centres = [s.barycentre() for s in complex_.sorted_simplices]
-    flags = faces.iter_chain_masks(budget=budget)
-    return RationalComplex(
-        (Simplex._trusted(centres[i] for i in _bits(mask)) for mask in flags), _trusted=True
-    )
+    verts = complex_.vertices
+    centres = [_barycentre([verts[r] for r in _bits(m)]) for m in complex_._sorted_masks]
+    return _order_complex(centres, faces.iter_chain_masks(budget=budget))[0]
+
+
+def _order_complex(points: Sequence[RationalPoint], chains: Iterable[int]) -> Tuple[RationalComplex, List[int]]:
+    """The order complex of a poset placed at distinct points, one per
+    element: one simplex per chain, spanned by its elements' points, and
+    each chain's simplex mask, in the order of the chains. The points are
+    sorted once, and a chain's bits map to their points' ranks. Unchecked:
+    the callers place posets whose chains span a complex this way."""
+    order = sorted(range(len(points)), key=points.__getitem__)
+    bit = [0] * len(points)
+    for r, i in enumerate(order):
+        bit[i] = 1 << r
+    masks = [sum(bit[i] for i in _bits(chain)) for chain in chains]
+    return RationalComplex._built(tuple(points[i] for i in order), frozenset(masks)), masks
 
 
 def derived(complex_: RationalComplex, k: int, budget: int = SIZE_BUDGET) -> RationalComplex:
@@ -623,9 +707,8 @@ def farey_mediant(simplex: Simplex) -> RationalPoint:
 
 
 def elementary_farey(complex_: RationalComplex, simplex: Simplex) -> RationalComplex:
-    if simplex not in complex_.simplices:
-        raise UnknownElement("can only take the mediant of a member simplex")
-    return _stellar(complex_, farey_mediant(simplex), simplex.vertex_set)
+    mask = _member_mask(complex_, simplex, "can only take the mediant of a member simplex")
+    return _stellar(complex_, farey_mediant(simplex), mask)
 
 
 # -- refinement --------------------------------------------------------------------
@@ -649,19 +732,23 @@ def is_refinement(finer: RationalComplex, coarser: RationalComplex) -> bool:
     fine side leaves every coarse volume at 0."""
     if finer.ambient_dim != coarser.ambient_dim:
         return False
-    try:  # fine vertex -> ({carrier vertex: its numerator}, their denominator)
-        chart = {v: _locate(v, coarser._maximal) for v in finer.vertices}
+    try:  # fine vertex rank -> (carrier mask, {coarse rank: numerator}, denominator)
+        chart = [_locate(v, coarser) for v in finer.vertices]
     except PointOutsideSupport:
         return False
-    hosts = coarser._index
-    volume = {s.vertex_set: Fraction(0) for s in coarser._maximal}
-    for piece in finer.simplices:
-        union = frozenset().union(*(chart[v][0] for v in piece.vertices))
+    hosts = coarser._masks
+    volume = dict.fromkeys(coarser._tops, Fraction(0))
+    for piece in finer._masks:
+        ranks = list(_bits(piece))
+        union = 0
+        for r in ranks:
+            union |= chart[r][0]
         if union not in hosts:
             return False
-        if len(union) == len(piece.vertices) and union in volume:
-            rows = [[chart[v][0].get(w, 0) for w in union] for v in piece.vertices]
-            scale = prod(chart[v][1] for v in piece.vertices)
+        if union.bit_count() == len(ranks) and union in volume:
+            columns = list(_bits(union))
+            rows = [[chart[r][1].get(w, 0) for w in columns] for r in ranks]
+            scale = prod(chart[r][2] for r in ranks)
             volume[union] += Fraction(abs(_integer_determinant(rows)), scale)
     return all(total == 1 for total in volume.values())
 
@@ -676,10 +763,9 @@ def geometric_realization(poset: FinitePoset, budget: int = SIZE_BUDGET) -> Rati
     n = poset.n
     nrv = nerve(poset, budget=budget)
     basis = [_Point(Fraction(1 if k == i else 0) for k in range(n)) for i in range(n)]
-    simplices = [Simplex._trusted(basis[i] for i in _bits(mask)) for mask in nrv.chain_masks]
-    complex_ = RationalComplex(simplices, _trusted=True)
+    complex_, masks = _order_complex(basis, nrv.chain_masks)
     faces = face_poset(complex_)
-    image = [complex_._index[s.vertex_set] for s in simplices]
+    image = [complex_._index[m] for m in masks]
     if faces.n != nrv.n or any(
         sum(1 << image[j] for j in _bits(nrv.up_mask(k))) != faces.up_mask(image[k])
         for k in range(nrv.n)
@@ -704,10 +790,10 @@ class OpenPolyhedralSet(Frozen):
     def __init__(self, complex: RationalComplex, members: Iterable[Simplex]):
         mask = 0
         for s in frozenset(members):
-            i = complex._index.get(s.vertex_set)
-            if i is None:
+            member = complex._mask_of(s)
+            if member is None:
                 raise UnknownElement(f"{s.label()} is not in the complex")
-            mask |= 1 << i
+            mask |= 1 << complex._index[member]
         object.__setattr__(self, "complex", complex)
         object.__setattr__(self, "_mask", mask)
 
@@ -727,7 +813,7 @@ class OpenPolyhedralSet(Frozen):
         return frozenset(self.complex.sorted_simplices[i] for i in _bits(self._mask))
 
     def contains(self, point: Sequence) -> bool:
-        return bool(self._mask >> self.complex._index[carrier(self.complex, point).vertex_set] & 1)
+        return bool(self._mask >> self.complex._index[_locate(rational_point(point), self.complex)[0]] & 1)
 
     def _with(self, other: "OpenPolyhedralSet", mask: int) -> "OpenPolyhedralSet":
         """The open set of the shared complex with the given mask."""
@@ -752,10 +838,10 @@ def upset_to_open(complex_: RationalComplex, upset: Iterable[Simplex]) -> OpenPo
     relative interiors. A failure names the first member, in sorted order,
     that misses a coface, and the first coface it misses."""
     opened = OpenPolyhedralSet(complex_, upset)
-    faces, sims = face_poset(complex_), complex_.sorted_simplices
+    faces = face_poset(complex_)
     for i in _bits(opened._mask):
         missing = faces.up_mask(i) & ~opened._mask
         if missing:
-            coface = sims[next(_bits(missing))].label()
-            raise NotUpwardClosed(f"{sims[i].label()} is included but its coface {coface} is not")
+            coface = faces.labels[next(_bits(missing))]
+            raise NotUpwardClosed(f"{faces.labels[i]} is included but its coface {coface} is not")
     return opened

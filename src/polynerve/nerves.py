@@ -46,15 +46,19 @@ def nerve(poset: FinitePoset, budget: int = SIZE_BUDGET) -> NervePoset:
     position = {m: k for k, m in enumerate(chains)}
     labels = [_chain_label(poset, m) for m in chains]
     covers: List[List[int]] = [[] for _ in chains]
+    downs = []
     for k, m in enumerate(chains):
-        # removing one element of a chain yields exactly the chains it covers
-        for i in _bits(m):
-            smaller = m ^ (1 << i)
-            if smaller:
-                covers[position[smaller]].append(k)
+        # removing one element yields exactly the chains it covers; removing
+        # a higher one leaves an earlier chain, so the list is built descending
+        below = [position[m ^ (1 << i)] for i in _bits(m)] if m & (m - 1) else []
+        below.reverse()
+        for j in below:
+            covers[j].append(k)
+        downs.append(tuple(below))
     built = poset_from_cover_dag(labels, covers)
     nerve_poset = NervePoset(labels, built._up, poset, tuple(chains))
     nerve_poset.covers_up, nerve_poset._extension = built.covers_up, built._extension
+    nerve_poset.covers_down = tuple(downs)
     return nerve_poset
 
 

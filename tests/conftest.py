@@ -7,7 +7,8 @@ refine_isomorphism, stellar_subdivision, all_pairs_check_complex,
 lp_intersection_is_common_face, bounding_boxes_apart, scan_carrier,
 scan_open_star, pairwise_open_implies, per_face_stellar,
 volume_refinement_oracle, former_is_refinement, former_from_json,
-former_sorted_simplices, former_homogeneous,
+former_sorted_simplices, former_homogeneous, former_locate, former_facets,
+former_maximal, former_face_poset, former_to_json,
 fraction_lp_maximize, fraction_solve_exact, fraction_rank_exact,
 fraction_determinant, naive_counter_valuation, staged_counter_valuation,
 interval_counter_valuation,
@@ -61,7 +62,7 @@ from polynerve.exactla import _integer_determinant, _integer_row, _solve_integer
 from polynerve import formulas
 from polynerve.formulas import FALSE, TRUE, And, Const, Imp, Neg, Or, Var, _tokenize
 from polynerve.morphisms import PMorphism, is_up_reduction
-from polynerve.posets import SIZE_BUDGET, _bits
+from polynerve.posets import SIZE_BUDGET, _bits, poset_from_cover_dag
 from polynerve import geometry
 from polynerve.geometry import _format_point
 from polynerve.semantics import VALUATION_BUDGET, UpsetAlgebra, _flatten
@@ -487,6 +488,46 @@ def former_sorted_simplices(complex_):
     return tuple(sorted(complex_.simplices, key=lambda s: (s.dim, s.vertices)))
 
 
+def former_facets(simplex):
+    """The package's former facet rule: the vertex sets of the facets, each
+    the simplex's vertex set less one vertex."""
+    whole = simplex.vertex_set
+    return [whole - {v} for v in simplex.vertices] if simplex.dim > 0 else []
+
+
+def former_maximal(complex_):
+    """The package's former maximal simplices: in sorted order, those whose
+    vertex sets are no facet of another simplex."""
+    covered = {facet for t in complex_.simplices for facet in former_facets(t)}
+    return [s for s in former_sorted_simplices(complex_) if s.vertex_set not in covered]
+
+
+def former_face_poset(complex_):
+    """The package's former face poset: element i is the i-th of the former
+    sorted simplices, labelled by Simplex.label, and covered by every simplex
+    having it as a facet; covers_down is what FinitePoset rebuilds."""
+    sims = former_sorted_simplices(complex_)
+    index = {s.vertex_set: i for i, s in enumerate(sims)}
+    covers = [[] for _ in sims]
+    for j, t in enumerate(sims):
+        for facet in former_facets(t):
+            covers[index[facet]].append(j)
+    return poset_from_cover_dag([s.label() for s in sims], covers)
+
+
+def former_to_json(complex_):
+    """The package's former complex_to_json: the sorted vertices of the
+    simplices and, per former maximal simplex, its sorted vertex indices."""
+    verts = sorted({v for s in complex_.simplices for v in s.vertices})
+    index = {v: i for i, v in enumerate(verts)}
+    payload = {
+        "dim": len(verts[0]) if verts else 0,
+        "vertices": [[[c.numerator, c.denominator] for c in v] for v in verts],
+        "simplices": [sorted(index[v] for v in s.vertices) for s in former_maximal(complex_)],
+    }
+    return json.dumps(payload, sort_keys=True)
+
+
 def former_homogeneous(point):
     """The package's former homogeneous(): (q x, q) for q the lcm of the
     coordinates' denominators, computed in Fractions."""
@@ -635,6 +676,18 @@ def volume_refinement_oracle(finer, coarser) -> bool:
     return True
 
 
+def former_locate(point, tops):
+    """The package's former point location: the point's carrier as
+    {vertex: positive numerator} and their positive denominator, read off
+    the first of the given simplices whose coordinates for it are all >= 0."""
+    for top in tops:
+        coords = top._integer_coords(point)
+        if coords is not None and min(coords[0]) >= 0:
+            numerators, denom = coords
+            return {v: m for v, m in zip(top.vertices, numerators) if m > 0}, denom
+    raise PointOutsideSupport(f"{_format_point(point)} lies outside the support")
+
+
 def former_is_refinement(finer, coarser) -> bool:
     """The package's former is_refinement: one point location per fine
     vertex, the carrier-union test against every coarse simplex, and a chart
@@ -642,7 +695,7 @@ def former_is_refinement(finer, coarser) -> bool:
     if finer.ambient_dim != coarser.ambient_dim:
         return False
     try:
-        chart = {v: geometry._locate(v, coarser._maximal) for v in finer.vertices}
+        chart = {v: former_locate(v, coarser.maximal_simplices()) for v in finer.vertices}
     except PointOutsideSupport:
         return False
     volume = {s.vertex_set: Fraction(0) for s in coarser.simplices}

@@ -483,6 +483,27 @@ def test_cover_dag_constructors_keep_the_cover_relation():
         assert poset.depths == fresh.depths
 
 
+def test_nerves_and_face_posets_hand_over_their_lower_covers():
+    # nerve and the face poset set covers_down from the loops that build
+    # their upper covers; it must equal, ascending, what a poset with the
+    # same order rebuilds from its upper covers
+    built = []
+    for poset in sample_posets(25, 6, seed=73):
+        nrv = pn.nerve(poset)
+        built += [nrv, pn.face_poset(pn.geometric_realization(poset))]
+        if nrv.count_chains() <= 5000:
+            built.append(pn.nerve(nrv))
+    triangle = pn.validate_complex(pn.Simplex(((0, 0), (1, 0), (0, 1))).faces())
+    farey = pn.elementary_farey(triangle, triangle.sorted_simplices[-1])
+    built += [pn.face_poset(pn.derived(triangle, 2)), pn.face_poset(farey)]
+    for poset in built:
+        fresh = pn.FinitePoset(poset.labels, poset._up)
+        assert "covers_down" in vars(poset)
+        assert poset.covers_down == fresh.covers_down
+        assert all(list(below) == sorted(below) for below in poset.covers_down)
+    assert sum(poset.n for poset in built) > 700
+
+
 # -- serialisation -----------------------------------------------------------------------------
 
 
