@@ -210,6 +210,8 @@ def cmd_census(args) -> int:
         raise MalformedInput("census size must be at least 1")
     if args.size > 8:
         raise MalformedInput("census size is capped at 8")
+    if args.samples < 0:
+        raise MalformedInput("census samples must be at least 0")
     alphas = _parse_lambda(args.lambdas) if args.lambdas else [Signature.parse("2.1")]
     rng = random.Random(args.seed)
     out = io.StringIO()

@@ -64,10 +64,6 @@ class TargetNotRooted(PolynerveError):
     pass
 
 
-class SearchBudgetExceeded(PolynerveError):
-    """A backtracking search visited more states than its budget allows."""
-
-
 class NotComparableSignatures(PolynerveError):
     pass
 
@@ -75,9 +71,24 @@ class NotComparableSignatures(PolynerveError):
 # --- budgets --------------------------------------------------------------
 
 
-class SizeBudgetExceeded(PolynerveError):
-    """An output (nerve, valuation space, complex) would exceed its size cap,
-    or a formula nests deeper than evaluation can follow."""
+class BudgetExceeded(PolynerveError):
+    """A limit refused the call: ``consumed`` units of ``what`` against
+    ``budget``. The fields are the args, so the error pickles and copies."""
+
+    def __init__(self, what: str, consumed: int, budget: int):
+        super().__init__(what, consumed, budget)
+        self.what, self.consumed, self.budget = what, consumed, budget
+
+    def __str__(self) -> str:
+        return f"{self.what}: {self.consumed} over the budget of {self.budget}"
+
+
+class SearchBudgetExceeded(BudgetExceeded):
+    """A backtracking search visited more states than its budget allows."""
+
+
+class SizeBudgetExceeded(BudgetExceeded):
+    """An output (nerve, valuation space, complex) would exceed its size cap."""
 
 
 # --- logic layer ----------------------------------------------------------
@@ -89,8 +100,11 @@ class ForbiddenSignature(PolynerveError):
 
 class ParseError(PolynerveError):
     def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
+        super().__init__(message, position)
         self.position = position
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} (at position {self.position})"
 
 
 class UnknownName(PolynerveError):

@@ -638,8 +638,8 @@ def barycentric_subdivision(complex_: RationalComplex, budget: int = SIZE_BUDGET
     "Poset topology", arXiv:math/0602226). Its size, the number of flags, is
     checked against the budget before anything is built."""
     faces = face_poset(complex_)
-    if faces.count_chains() > budget:
-        raise SizeBudgetExceeded(f"subdivision exceeded the budget of {budget} simplices")
+    if (count := faces.count_chains()) > budget:
+        raise SizeBudgetExceeded("subdivision simplices", count, budget)
     verts = complex_.vertices
     centres = [_barycentre([verts[r] for r in _bits(m)]) for m in complex_._sorted_masks]
     return _order_complex(centres, faces.iter_chain_masks(budget=budget))[0]

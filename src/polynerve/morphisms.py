@@ -202,7 +202,7 @@ def _search_up_reduction(
     values = sorted(
         (j for j in range(target.n) if j != root_idx), key=lambda j: (target.heights[j], j)
     )
-    refusal = f"up-reduction search exceeded {budget} states"
+    tries = 0
 
     def fits(i, v, assignment):
         # forth and back at i: the elements above i, assigned first, map into
@@ -217,8 +217,7 @@ def _search_up_reduction(
         if max(poset.heights[j] for j in _bits(domain)) - poset.heights[apex] < max(target.heights):
             continue  # not enough height above the apex
         order = [i for i in poset._by_height if domain >> i & 1 and i != apex]
-        assignment, tries = _onto_assignment(order, values, fits, budget, refusal)
-        budget -= tries
+        assignment, tries = _onto_assignment(order, values, fits, budget, "up-reduction search states", tries)
         if assignment is not None:
             mapping = {poset.labels[apex]: target.labels[root_idx]}
             mapping.update((poset.labels[i], target.labels[v]) for i, v in assignment.items())
@@ -284,9 +283,8 @@ def are_isomorphic(
     is enforced with SearchBudgetExceeded."""
     if poset.n != other.n:
         return None
-    refusal = f"isomorphism search exceeded {budget} nodes"
     if budget < 1:
-        raise SearchBudgetExceeded(refusal)
+        raise SearchBudgetExceeded("isomorphism search nodes", 1, budget)
     nodes = 1
     cells = _Partition(poset, other)
     if not cells.refine(cells.split(0, _by_degree(poset, other))):
@@ -314,7 +312,7 @@ def are_isomorphic(
             frame[3] += 1
             nodes += 1
             if nodes > budget:
-                raise SearchBudgetExceeded(refusal)
+                raise SearchBudgetExceeded("isomorphism search nodes", nodes, budget)
             if cells.refine(cells.split(cell, [([v], [choices[k]]), None])):
                 break
         else:
@@ -477,25 +475,24 @@ def exists_monotone_surjection(
         return all(other.up_mask(assignment[j]) >> v & 1 for j in _bits(poset.strict_down_mask(i)))
 
     order = sorted(range(poset.n), key=lambda i: (poset.heights[i], i))
-    refusal = f"monotone surjection search exceeded {budget} states"
-    return _onto_assignment(order, range(other.n), fits, budget, refusal)[0] is not None
+    return _onto_assignment(order, range(other.n), fits, budget, "monotone surjection search states")[0] is not None
 
 
-def _onto_assignment(elements, values, fits, budget, refusal):
+def _onto_assignment(elements, values, fits, budget, what, tries=0):
     """The first assignment, depth first, of one of ``values`` to each of
     ``elements`` in turn that hits every value, where element i may take v
     only if ``fits(i, v, assignment)`` given the elements before it; None if
-    there is none. Values are tried in the given order and every try counts
-    against ``budget``, beyond which SearchBudgetExceeded(refusal) is raised.
-    A branch is cut once the elements left are too few to hit the values not
-    yet hit. Returns the assignment (or None) and the number of tries."""
+    there is none. Values are tried in the given order and every try counts,
+    after the ``tries`` already spent, against ``budget``, beyond which
+    SearchBudgetExceeded(what, budget + 1, budget) is raised. A branch is cut
+    once the elements left are too few to hit the values not yet hit. Returns
+    the assignment (or None) and the tries spent in all."""
     assignment: Dict[int, int] = {}
     hits = dict.fromkeys(values, 0)
     missing = len(hits)
     if not elements or len(elements) < missing:
-        return (None if missing else assignment), 0
+        return (None if missing else assignment), tries
     untried = [iter(values)]  # the values left for each element opened so far
-    tries = 0
     while untried:
         i = elements[len(untried) - 1]
         if i in assignment:  # every branch below its value failed
@@ -505,7 +502,7 @@ def _onto_assignment(elements, values, fits, budget, refusal):
         for v in untried[-1]:
             tries += 1
             if tries > budget:
-                raise SearchBudgetExceeded(refusal)
+                raise SearchBudgetExceeded(what, tries, budget)
             if fits(i, v, assignment):
                 break
         else:

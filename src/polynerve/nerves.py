@@ -35,11 +35,8 @@ def nerve(poset: FinitePoset, budget: int = SIZE_BUDGET) -> NervePoset:
 
     Errors out before materialising anything if the chain count exceeds the
     budget."""
-    total = poset.count_chains()
-    if total > budget:
-        raise SizeBudgetExceeded(
-            f"nerve would have {total} elements, over the budget of {budget}"
-        )
+    if (total := poset.count_chains()) > budget:
+        raise SizeBudgetExceeded("nerve elements", total, budget)
     chains = list(poset.iter_chain_masks(budget=budget))
     # by size then base indices: a topological order for inclusion
     chains.sort(key=lambda m: (bin(m).count("1"), m))

@@ -366,7 +366,7 @@ class FinitePoset:
                 stack.append((mask, candidates))
             produced += 1
             if produced > budget:
-                raise SizeBudgetExceeded(f"chain enumeration exceeds budget {budget}")
+                raise SizeBudgetExceeded("chains", produced, budget)
             yield mask | b
             # the candidates left are all above b's index
             rest = candidates & comparable[b.bit_length() - 1]
@@ -461,14 +461,12 @@ class UpsetAlgebra:
             masks = [0]
             for i in poset._by_height:
                 if budget is not None and len(masks) ** k > budget:
-                    raise SizeBudgetExceeded(
-                        f"at least {len(masks) ** k} valuations exceed the budget of {budget}"
-                    )
+                    raise SizeBudgetExceeded("valuations", len(masks) ** k, budget)
                 covers = sum(1 << j for j in poset.covers_up[i])
                 masks += [m | 1 << i for m in masks if covers & ~m == 0]
             masks = tuple(sorted(masks, key=lambda m: (bin(m).count("1"), m)))
         if budget is not None and len(masks) ** k > budget:
-            raise SizeBudgetExceeded(f"{len(masks) ** k} valuations exceed the budget of {budget}")
+            raise SizeBudgetExceeded("valuations", len(masks) ** k, budget)
         self._table = masks
         return masks
 

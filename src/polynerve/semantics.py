@@ -162,7 +162,7 @@ def counter_valuation(
     if k:
         elements = algebra.upsets(k, budget)
     elif budget < 1:
-        raise SizeBudgetExceeded(f"1 valuation exceeds the budget of {budget}")
+        raise SizeBudgetExceeded("valuations", 1, budget)
     top = algebra.top
     lo = [0] * size  # a bound node's value, and the lower end of an open one
     hi = [top] * size

@@ -20,11 +20,8 @@ def starlike_tree(alpha: Signature) -> FinitePoset:
     singleton. Labels: root "r", branch elements "b<j>.<height>". Its size,
     read off the signature's entries, is checked against SIZE_BUDGET before
     anything is built."""
-    size = 1 + sum(n * m for n, m in alpha.entries)
-    if size > SIZE_BUDGET:
-        raise SizeBudgetExceeded(
-            f"starlike tree would have {size} elements, over the budget of {SIZE_BUDGET}"
-        )
+    if (size := 1 + sum(n * m for n, m in alpha.entries)) > SIZE_BUDGET:
+        raise SizeBudgetExceeded("starlike tree elements", size, SIZE_BUDGET)
     labels = ["r"]
     covers: List[List[int]] = [[]]
     for j, branch_height in enumerate(alpha.heights, start=1):

@@ -453,7 +453,7 @@ def refine_isomorphism(poset: FinitePoset, other: FinitePoset, budget: int = 10*
             continue
         nodes += 1
         if nodes > budget:
-            raise SearchBudgetExceeded(f"isomorphism search exceeded {budget} nodes")
+            raise SearchBudgetExceeded("isomorphism search nodes", nodes, budget)
         colours = refine(colours)
         if colours is None:
             continue
@@ -932,7 +932,7 @@ def naive_counter_valuation(poset, phi, budget=VALUATION_BUDGET):
     variables = phi.variables()
     count = len(algebra.elements) ** len(variables)
     if count > budget:
-        raise SizeBudgetExceeded(f"{count} valuations exceed the budget of {budget}")
+        raise SizeBudgetExceeded("valuations", count, budget)
     for choice in product(algebra.elements, repeat=len(variables)):
         env = dict(zip(variables, choice))
         if naive_evaluate(phi, env, algebra) != algebra.top:
@@ -967,7 +967,7 @@ def interval_counter_valuation(poset, phi, budget=VALUATION_BUDGET):
     if k:
         elements = algebra.upsets(k, budget)
     elif budget < 1:
-        raise SizeBudgetExceeded(f"1 valuation exceeds the budget of {budget}")
+        raise SizeBudgetExceeded("valuations", 1, budget)
     top = algebra.top
     lo = [0] * size  # a bound node's value, and the lower end of an open one
     hi = [top] * size
@@ -1053,7 +1053,7 @@ def staged_counter_valuation(poset, phi, budget=VALUATION_BUDGET):
     if k:
         elements = algebra.upsets(k, budget)
     elif budget < 1:
-        raise SizeBudgetExceeded(f"1 valuation exceeds the budget of {budget}")
+        raise SizeBudgetExceeded("valuations", 1, budget)
     top = algebra.top
     values = [0] * len(nodes)
     slots = [0] * k
@@ -1199,7 +1199,7 @@ def recursive_chain_masks(poset, budget=SIZE_BUDGET):
         for i in _bits(candidates):
             produced += 1
             if produced > budget:
-                raise SizeBudgetExceeded(f"chain enumeration exceeds budget {budget}")
+                raise SizeBudgetExceeded("chains", produced, budget)
             yield mask | 1 << i
             rest = candidates & (poset.up_mask(i) | poset.down_mask(i)) & ~((1 << (i + 1)) - 1)
             yield from extend(mask | 1 << i, rest)
@@ -1371,7 +1371,7 @@ def recursive_search_up_reduction(poset, target, budget=10**7):
             for v in value_order:
                 visited += 1
                 if visited > budget:
-                    raise SearchBudgetExceeded(f"up-reduction search exceeded {budget} states")
+                    raise SearchBudgetExceeded("up-reduction search states", visited, budget)
                 images = [assignment[j] for j in above]
                 if any(not target.up_mask(v) >> fj & 1 for fj in images):
                     continue  # forth
@@ -1414,7 +1414,7 @@ def recursive_monotone_surjection(poset, other, budget=10**7):
         for v in range(other.n):
             visited += 1
             if visited > budget:
-                raise SearchBudgetExceeded(f"monotone surjection search exceeded {budget} states")
+                raise SearchBudgetExceeded("monotone surjection search states", visited, budget)
             if any(
                 (poset.up_mask(i2) >> i & 1 and not other.up_mask(v2) >> v & 1)
                 or (poset.up_mask(i) >> i2 & 1 and not other.up_mask(v) >> v2 & 1)

@@ -280,7 +280,7 @@ def test_iso_verb_passes_budget(capsys, tmp_path, double_chain):
     a = tmp_path / "A.json"
     a.write_text(double_chain.to_json())
     code, _, err = run(capsys, ["iso", "--budget", "1", "-i", str(a), str(a)])
-    assert code == 2 and "exceeded 1" in err
+    assert code == 2 and "isomorphism search nodes: 2 over the budget of 1\n" in err
     code, out, _ = run(capsys, ["iso", "-i", str(a), str(a)])
     assert code == 0 and json.loads(out)["result"] is True
     # without --budget, the library's own default applies
